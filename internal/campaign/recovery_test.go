@@ -49,6 +49,11 @@ func TestWatchdogAbandonsWedgedRound(t *testing.T) {
 	if !strings.Contains(out.Violations[0].Detail, "goroutine") {
 		t.Fatalf("watchdog detail carries no goroutine dump: %q", out.Violations[0].Detail)
 	}
+	// The stall names who holds the clock: the round driver, blocked
+	// in Step with its root-scope token unparked.
+	if !strings.Contains(out.Err.Error(), "holders=[root=1]") {
+		t.Fatalf("watchdog error does not name the clock holder: %v", out.Err)
+	}
 }
 
 // panicTarget deploys an instance whose first Step panics.

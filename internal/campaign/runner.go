@@ -6,7 +6,10 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
+	"runtime/pprof"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -141,6 +144,12 @@ func RunScheduleVirtual(t Target, sched Schedule) RoundOutcome {
 // avoid.
 func runSchedule(t Target, sched Schedule, opts runOpts) RoundOutcome {
 	opts = opts.withDefaults()
+	// A virtual round's clock is created here so a wedge report can
+	// name who holds it.
+	var sim *clock.Sim
+	if opts.virtual {
+		sim = clock.NewSim()
+	}
 	done := make(chan RoundOutcome, 1)
 	//neat:allow goaccount -- driver-side round isolation: this goroutine hosts the round's engine, it does not run inside one
 	go func() {
@@ -149,20 +158,18 @@ func runSchedule(t Target, sched Schedule, opts runOpts) RoundOutcome {
 				// The body's own defers (engine shutdown, clock stop)
 				// already ran during unwinding; report the round as an
 				// engine error carrying the stack.
-				buf := make([]byte, 64<<10)
-				n := runtime.Stack(buf, false)
 				o := RoundOutcome{Target: t.Name(), Schedule: sched}
 				o.Err = fmt.Errorf("campaign: round panicked: %v", r)
 				o.Violations = []Violation{{
 					Target:    t.Name(),
 					Invariant: "engine-error",
 					Subject:   "panic",
-					Detail:    fmt.Sprintf("round panicked: %v\n%s", r, buf[:n]),
+					Detail:    fmt.Sprintf("round panicked: %v\n%s", r, debug.Stack()),
 				}}
 				done <- o
 			}
 		}()
-		done <- runScheduleBody(t, sched, opts)
+		done <- runScheduleBody(t, sched, opts, sim)
 	}()
 	var timeoutC <-chan time.Time
 	if opts.watchdog > 0 {
@@ -175,26 +182,31 @@ func runSchedule(t Target, sched Schedule, opts runOpts) RoundOutcome {
 	case o := <-done:
 		return o
 	case <-timeoutC:
-		buf := make([]byte, 256<<10)
-		n := runtime.Stack(buf, true)
+		var dump strings.Builder
+		_ = pprof.Lookup("goroutine").WriteTo(&dump, 2) // a Builder never fails
 		out := RoundOutcome{Target: t.Name(), Schedule: sched}
-		out.Err = fmt.Errorf("campaign: round wedged: exceeded the %v wall-clock watchdog", opts.watchdog)
+		stall := "real clock"
+		if sim != nil {
+			stall = sim.Stall()
+		}
+		out.Err = fmt.Errorf("campaign: round wedged: exceeded the %v wall-clock watchdog (clock: %s)", opts.watchdog, stall)
 		out.Violations = []Violation{{
 			Target:    t.Name(),
 			Invariant: "engine-error",
 			Subject:   "watchdog",
-			Detail: fmt.Sprintf("round made no progress within the %v wall-clock watchdog; goroutine dump:\n%s",
-				opts.watchdog, buf[:n]),
+			Detail: fmt.Sprintf("round made no progress within the %v wall-clock watchdog; clock: %s; goroutine dump:\n%s",
+				opts.watchdog, stall, dump.String()),
 		}}
 		return out
 	}
 }
 
-func runScheduleBody(t Target, sched Schedule, opts runOpts) RoundOutcome {
+// runScheduleBody runs one round, on sim when it is non-nil and on the
+// real clock otherwise.
+func runScheduleBody(t Target, sched Schedule, opts runOpts, sim *clock.Sim) RoundOutcome {
 	out := RoundOutcome{Target: t.Name(), Schedule: sched}
 	var engOpts core.Options
-	if opts.virtual {
-		sim := clock.NewSim()
+	if sim != nil {
 		defer sim.Stop()
 		engOpts.Net.Clock = sim
 	}

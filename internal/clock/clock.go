@@ -55,27 +55,30 @@ type Ticker interface {
 }
 
 // Busy is implemented by clocks that track outstanding work. A virtual
-// clock must not advance while a handed-off unit of work (a queued
-// packet, an unconsumed RPC reply) is still pending; Acquire marks such
-// a unit in flight and Release retires it. The Real clock does not
-// implement Busy — use the package-level helpers, which no-op for it.
+// clock must not advance while a unit of work is still pending: a
+// queued packet, an unconsumed RPC reply, a goroutine computing between
+// two clock waits. The Real clock does not implement Busy; use the
+// package-level helpers and Scope methods, which no-op for it.
 //
-// Two token flavours exist. Transfer tokens (Acquire/Release) are
-// unbound: one goroutine may acquire and another release, which is how
-// a handed-off message stays accounted across the handoff. Scoped
-// tokens (AcquireScoped/ReleaseScoped) bind to the calling goroutine
-// and are surrendered automatically while that goroutine blocks inside
-// one of the clock's own waits (Sleep, Idle), then restored on wake —
-// so a request handler can hold a scoped token for its whole execution,
-// keeping virtual time frozen while it computes, yet still block on a
-// virtual timeout without deadlocking the clock.
+// Work is held as busy tokens of two kinds. Transfer tokens
+// (Acquire/Release) are unbound: one goroutine may acquire and another
+// release, which is how a handed-off message stays accounted across the
+// handoff. Scoped tokens are bound to a Scope, the explicit handle of
+// one accounted goroutine, and stop counting while that scope is parked
+// in one of its own waits (Scope.Sleep, Scope.Idle), then count again
+// on wake. A request handler's dispatcher scope therefore holds its
+// request's token for the whole execution, keeping virtual time frozen
+// while it computes, yet can still block on a virtual timeout without
+// deadlocking the clock.
+//
+// Every goroutine that does system work has a scope: Go and TickLoop
+// hand one to their bodies, and a transport endpoint owns one for its
+// dispatcher. Code outside those goroutines — the round driver, test
+// drivers — acts on the Sim's root scope through the implicit forms:
+// AcquireScoped, ReleaseScoped and the clocks' own Sleep.
 type Busy interface {
 	Acquire()
 	Release()
-	AcquireScoped()
-	ReleaseScoped()
-	BecomeScoped()
-	Idle(fn func())
 }
 
 // Acquire marks a unit of work in flight on c, if c tracks work.
@@ -92,71 +95,13 @@ func Release(c Clock) {
 	}
 }
 
-// AcquireScoped marks the calling goroutine as doing work on c until
-// ReleaseScoped, if c tracks work. The token is surrendered while the
-// goroutine blocks in c's own waits.
-func AcquireScoped(c Clock) {
-	if b, ok := c.(Busy); ok {
-		b.AcquireScoped()
-	}
-}
+// AcquireScoped binds one token to c's root scope, if c tracks work.
+// The token is surrendered while the root scope waits (c.Sleep, or
+// Root(c).Idle).
+func AcquireScoped(c Clock) { Root(c).Acquire() }
 
-// ReleaseScoped retires one of the calling goroutine's scoped tokens.
-func ReleaseScoped(c Clock) {
-	if b, ok := c.(Busy); ok {
-		b.ReleaseScoped()
-	}
-}
-
-// BecomeScoped rebinds one previously Acquire'd transfer token to the
-// calling goroutine as a scoped token (a dispatcher claiming a queued
-// message it is about to process). The busy count is unchanged, so
-// there is no instant at which the work is unaccounted.
-func BecomeScoped(c Clock) {
-	if b, ok := c.(Busy); ok {
-		b.BecomeScoped()
-	}
-}
-
-// Idle runs fn with the calling goroutine's scoped tokens surrendered,
-// restoring them before returning. Wrap waits on anything the clock
-// cannot see — a WaitGroup join of RPC fan-out goroutines, a select on
-// a timer — so that virtual time can advance while fn blocks. For
-// clocks without work tracking fn just runs.
-func Idle(c Clock, fn func()) {
-	if b, ok := c.(Busy); ok {
-		b.Idle(fn)
-		return
-	}
-	fn()
-}
-
-// Gid returns an opaque identity for the calling goroutine, for use
-// with AcquireScopedAs: a receiver loop publishes its identity once,
-// and message producers then bind in-flight-work tokens to it.
-func Gid() uint64 { return gid() }
-
-// AcquireScopedAs binds one busy token to goroutine g's scope (rather
-// than the caller's): the token freezes virtual time like any scoped
-// token, is surrendered while g blocks in a clock wait, and is retired
-// when g calls ReleaseScoped. This is how the transport accounts
-// queued requests: the sender binds a token to the receiving
-// dispatcher, so queued work freezes time while the dispatcher can
-// run, yet never deadlocks the clock when the dispatcher parks inside
-// a handler waiting for a virtual timeout.
-func AcquireScopedAs(c Clock, g uint64) {
-	if s := simOf(c); s != nil {
-		s.acquireScopedAs(g)
-	}
-}
-
-// ReleaseScopedAs revokes one token bound to g's scope (the sender's
-// undo when its enqueue fails).
-func ReleaseScopedAs(c Clock, g uint64) {
-	if s := simOf(c); s != nil {
-		s.releaseScopedAs(g)
-	}
-}
+// ReleaseScoped retires one of c's root-scope tokens.
+func ReleaseScoped(c Clock) { Root(c).Release() }
 
 // simOf unwraps c to the underlying *Sim, looking through NodeView,
 // or nil when c is not simulated.
@@ -170,27 +115,22 @@ func simOf(c Clock) *Sim {
 	return nil
 }
 
-// Go runs fn on a new goroutine accounted as in-flight work on c from
-// the instant of the spawn: the spawner acquires a transfer token
-// before the goroutine exists, the goroutine rebinds it as its scoped
-// token, and retires it on return. Use for every goroutine that does
-// system work (RPC fan-out workers, background snapshot pulls) so a
-// virtual clock never advances across the gap between a spawn and the
-// goroutine's first observable action — the gap that would otherwise
-// let freshly spawned work land nondeterministically before or after
-// the next timer fires. For clocks without work tracking this is a
-// plain go statement.
-func Go(c Clock, fn func()) {
-	b, ok := c.(Busy)
-	if !ok {
-		go fn()
-		return
-	}
-	b.Acquire()
+// Go runs fn on a new goroutine with a scope of its own, accounted as
+// in-flight work on c from the instant of the spawn: the token is bound
+// to the new scope before the goroutine exists and retired when fn
+// returns. Use for every goroutine that does system work (RPC fan-out
+// workers, background snapshot pulls) so a virtual clock never advances
+// across the gap between a spawn and the goroutine's first observable
+// action — the gap that would otherwise let freshly spawned work land
+// nondeterministically before or after the next timer fires. fn waits
+// through its scope (sc.Sleep, sc.Idle). For clocks without work
+// tracking this is a plain go statement.
+func Go(c Clock, fn func(sc *Scope)) {
+	sc := &Scope{c: c, s: simOf(c), label: "go"}
+	sc.Acquire()
 	go func() {
-		b.BecomeScoped()
-		defer b.ReleaseScoped()
-		fn()
+		defer sc.Release()
+		fn(sc)
 	}()
 }
 
@@ -229,16 +169,17 @@ func (r realTicker) Stop()               { r.t.Stop() }
 // TickLoop runs body once per tick of tk until stop closes — the
 // standard service-loop shape (heartbeat senders, lease sweepers, role
 // pollers) expressed through the clock so a virtual implementation can
-// account for tick consumption precisely. On a Sim clock each
-// delivered tick hands the consumer a busy token for the duration of
-// body, so virtual time cannot advance between a tick firing and its
-// handler completing (or parking in a clock wait of its own); ticks
-// that fire while the consumer is busy are buffered or dropped exactly
-// like time.Ticker's. The caller keeps ownership of tk and should
-// still Stop it when the loop exits.
-func TickLoop(c Clock, tk Ticker, stop <-chan struct{}, body func()) {
-	if s := simOf(c); s != nil {
-		s.tickLoop(tk, stop, body)
+// account for tick consumption precisely. The loop has one scope,
+// passed to every body. On a Sim clock each delivered tick binds a
+// busy token to it for the duration of body, so virtual time cannot
+// advance between a tick firing and its handler completing (or parking
+// in a wait of its own scope); ticks that fire while the consumer is
+// busy are buffered or dropped exactly like time.Ticker's. The caller
+// keeps ownership of tk and should still Stop it when the loop exits.
+func TickLoop(c Clock, tk Ticker, stop <-chan struct{}, body func(sc *Scope)) {
+	sc := &Scope{c: c, s: simOf(c), label: "tick"}
+	if sc.s != nil {
+		sc.s.tickLoop(sc, tk, stop, body)
 		return
 	}
 	for {
@@ -246,7 +187,7 @@ func TickLoop(c Clock, tk Ticker, stop <-chan struct{}, body func()) {
 		case <-stop:
 			return
 		case <-tk.C():
-			body()
+			body(sc)
 		}
 	}
 }

@@ -247,7 +247,7 @@ func TestSimTickLoop(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		TickLoop(s, tk, stop, func() {
+		TickLoop(s, tk, stop, func(*Scope) {
 			if n.Add(1) == 5 {
 				close(stop)
 			}
@@ -268,17 +268,17 @@ func TestSimTickLoop(t *testing.T) {
 func TestSimScopedParking(t *testing.T) {
 	s := NewSim()
 	defer s.Stop()
-	s.AcquireScoped()
+	AcquireScoped(s)
 	var fired atomic.Bool
 	s.AfterFunc(time.Millisecond, func() { fired.Store(true) })
 	time.Sleep(10 * time.Millisecond)
 	if fired.Load() {
 		t.Fatal("timer fired while a scoped token was held")
 	}
-	s.Idle(func() {
+	Root(s).Idle(func() {
 		waitUntil(t, func() bool { return fired.Load() })
 	})
-	s.ReleaseScoped()
+	ReleaseScoped(s)
 }
 
 // TestSimGoAccountsSpawn: work spawned through Go is accounted from
@@ -289,7 +289,7 @@ func TestSimGoAccountsSpawn(t *testing.T) {
 	defer s.Stop()
 	order := make(chan string, 2)
 	s.AfterFunc(time.Millisecond, func() { order <- "timer" })
-	Go(s, func() { order <- "spawned" })
+	Go(s, func(*Scope) { order <- "spawned" })
 	if first := <-order; first != "spawned" {
 		t.Fatalf("timer fired before the already-spawned work ran (first = %q)", first)
 	}

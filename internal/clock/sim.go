@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,14 +23,14 @@ import (
 //
 //  1. The busy count is zero. Busy counts tracked in-flight work:
 //     transfer tokens (Acquire/Release) for handed-off messages such
-//     as RPC replies, scoped tokens (AcquireScoped and friends) bound
-//     to working goroutines — request handlers, tick handlers, fan-out
-//     workers spawned through clock.Go, queued requests bound to their
-//     dispatcher — and wake grants attached to firing sleeps, wake
-//     timers, and AfterFunc callbacks. Scoped tokens are surrendered
-//     while their goroutine parks inside a clock wait (Sleep, Idle)
-//     and restored on resume, so a handler blocked on its own virtual
-//     timeout never freezes the clock it is waiting on.
+//     as RPC replies, scoped tokens bound to a Scope — the round
+//     driver's root scope, tick loops, fan-out workers spawned through
+//     clock.Go, queued requests bound to their dispatcher — and wake
+//     grants attached to firing sleeps, wake timers, and AfterFunc
+//     callbacks. A scope's tokens are surrendered while it is parked
+//     in one of its waits (Sleep, Idle) and restored on resume, so a
+//     handler blocked on its own virtual timeout never freezes the
+//     clock it is waiting on.
 //  2. An activity counter — bumped by every clock interaction from any
 //     goroutine — stays unchanged across a settle window of scheduler
 //     yields. This catches the few stretches the tokens cannot see: a
@@ -58,16 +59,11 @@ type Sim struct {
 	seq    uint64
 	timers timerHeap
 	busy   int
-	// scoped counts tokens bound to each goroutine; parkDepth marks
-	// goroutines currently blocked inside one of the clock's own waits.
-	// A goroutine's scoped tokens count toward busy only while it is
-	// not parked: tokens arriving for a parked goroutine (queued
-	// requests binding to a handler that is off waiting on its own
-	// virtual timeout) must not freeze the clock the goroutine is
-	// waiting on.
-	scoped    map[uint64]int
-	parkDepth map[uint64]int
-	stopped   bool
+	// root is the scope the implicit forms act on (see Scope); holders
+	// lists every scope with tokens bound, for Snapshot.
+	root    *Scope
+	holders *Scope
+	stopped bool
 	// suspended holds timers lifted out of the heap by a paused
 	// NodeView: their absolute deadlines are preserved but they cannot
 	// fire until resumeTimers re-arms them (or Stop flushes them).
@@ -103,12 +99,11 @@ const stopFlush = 1000 * time.Hour
 func NewSim() *Sim {
 	s := &Sim{
 		now:       simEpoch,
-		scoped:    make(map[uint64]int),
-		parkDepth: make(map[uint64]int),
 		suspended: make(map[*simTimer]struct{}),
 		wakeCh:    make(chan struct{}, 1),
 		doneCh:    make(chan struct{}),
 	}
+	s.root = &Scope{c: s, s: s, label: "root"}
 	go s.run()
 	return s
 }
@@ -121,11 +116,16 @@ func (s *Sim) Now() time.Time {
 	return s.now
 }
 
-// Sleep implements Clock. The calling goroutine's scoped tokens are
-// surrendered for the duration, and the wake-up carries a busy token
-// that the sleeper retires once it is running again, so virtual time
-// cannot skip ahead between a sleep firing and the sleeper resuming.
-func (s *Sim) Sleep(d time.Duration) {
+// Sleep implements Clock as a wait of the root scope: the root's
+// tokens are surrendered for the duration. Accounted goroutines sleep
+// through their own Scope instead.
+func (s *Sim) Sleep(d time.Duration) { s.sleep(s.root, d) }
+
+// sleep parks sc for d of virtual time. The wake-up carries a busy
+// token that the sleeper retires once it is running again, so virtual
+// time cannot skip ahead between a sleep firing and the sleeper
+// resuming.
+func (s *Sim) sleep(sc *Scope, d time.Duration) {
 	s.activity.Add(1)
 	if d <= 0 {
 		runtime.Gosched()
@@ -135,12 +135,16 @@ func (s *Sim) Sleep(d time.Duration) {
 	if !s.schedule(t, d) {
 		return // clock stopped: waits complete immediately
 	}
-	g := gid()
-	s.park(g)
+	s.awaitSleep(sc, t)
+}
+
+// awaitSleep blocks on an armed sleep timer with sc parked.
+func (s *Sim) awaitSleep(sc *Scope, t *simTimer) {
+	s.park(sc)
 	<-t.done
-	// Restore our scoped tokens before retiring the wake grant, so
-	// there is no instant where the resuming sleeper is unaccounted.
-	s.unpark(g)
+	// Restore sc's tokens before retiring the wake grant, so there is
+	// no instant where the resuming sleeper is unaccounted.
+	s.unpark(sc)
 	s.Release()
 }
 
@@ -194,123 +198,7 @@ func (s *Sim) Release() {
 	s.activity.Add(1)
 	s.mu.Lock()
 	s.busy--
-	if s.busy == 0 && len(s.timers) > 0 && !s.stopped {
-		s.signalLocked()
-	}
-	s.mu.Unlock()
-}
-
-// AcquireScoped implements Busy: one busy token bound to the calling
-// goroutine, surrendered while it blocks in Sleep or Idle.
-func (s *Sim) AcquireScoped() {
-	s.acquireScopedAs(gid())
-}
-
-// ReleaseScoped implements Busy.
-func (s *Sim) ReleaseScoped() {
-	g := gid()
-	s.activity.Add(1)
-	s.mu.Lock()
-	if s.scoped[g] > 0 {
-		s.scoped[g]--
-		if s.scoped[g] == 0 {
-			delete(s.scoped, g)
-		}
-		if s.parkDepth[g] == 0 {
-			s.busy--
-			if s.busy == 0 && len(s.timers) > 0 && !s.stopped {
-				s.signalLocked()
-			}
-		}
-	}
-	s.mu.Unlock()
-}
-
-// BecomeScoped implements Busy: rebinds one transfer token to the
-// calling goroutine without the busy count ever dipping.
-func (s *Sim) BecomeScoped() {
-	g := gid()
-	s.activity.Add(1)
-	s.mu.Lock()
-	s.scoped[g]++
-	if s.parkDepth[g] > 0 {
-		// Rebinding into a parked scope: the transfer token stops
-		// counting until the goroutine resumes.
-		s.busy--
-		if s.busy == 0 && len(s.timers) > 0 && !s.stopped {
-			s.signalLocked()
-		}
-	}
-	s.mu.Unlock()
-}
-
-// acquireScopedAs binds one busy token to goroutine g's scope. Tokens
-// bound to a parked goroutine do not count toward busy until it
-// resumes.
-func (s *Sim) acquireScopedAs(g uint64) {
-	s.activity.Add(1)
-	s.mu.Lock()
-	s.scoped[g]++
-	if s.parkDepth[g] == 0 {
-		s.busy++
-	}
-	s.mu.Unlock()
-}
-
-// releaseScopedAs revokes one token from goroutine g's scope.
-func (s *Sim) releaseScopedAs(g uint64) {
-	s.activity.Add(1)
-	s.mu.Lock()
-	if s.scoped[g] > 0 {
-		s.scoped[g]--
-		if s.scoped[g] == 0 {
-			delete(s.scoped, g)
-		}
-		if s.parkDepth[g] == 0 {
-			s.busy--
-			if s.busy == 0 && len(s.timers) > 0 && !s.stopped {
-				s.signalLocked()
-			}
-		}
-	}
-	s.mu.Unlock()
-}
-
-// Idle implements Busy: fn runs with the goroutine's scoped tokens
-// surrendered so virtual time can advance while fn blocks on something
-// the clock cannot see (a WaitGroup join, a select on a timer).
-func (s *Sim) Idle(fn func()) {
-	g := gid()
-	s.park(g)
-	fn()
-	s.unpark(g)
-}
-
-// park marks goroutine g as blocked in a clock wait: its scoped tokens
-// (current and any bound to it while parked) stop counting toward
-// busy until unpark.
-func (s *Sim) park(g uint64) {
-	s.activity.Add(1)
-	s.mu.Lock()
-	s.parkDepth[g]++
-	if s.parkDepth[g] == 1 && s.scoped[g] > 0 {
-		s.busy -= s.scoped[g]
-	}
-	if s.busy == 0 && len(s.timers) > 0 && !s.stopped {
-		s.signalLocked()
-	}
-	s.mu.Unlock()
-}
-
-// unpark reverses park, restoring g's scoped tokens to the busy count.
-func (s *Sim) unpark(g uint64) {
-	s.activity.Add(1)
-	s.mu.Lock()
-	s.parkDepth[g]--
-	if s.parkDepth[g] == 0 {
-		delete(s.parkDepth, g)
-		s.busy += s.scoped[g]
-	}
+	s.signalIfIdleLocked()
 	s.mu.Unlock()
 }
 
@@ -404,6 +292,14 @@ func (s *Sim) schedule(t *simTimer, d time.Duration) bool {
 	}
 	s.mu.Unlock()
 	return true
+}
+
+// signalIfIdleLocked wakes the advancer when the busy count has just
+// dropped to zero with timers pending. s.mu held.
+func (s *Sim) signalIfIdleLocked() {
+	if s.busy == 0 && len(s.timers) > 0 && !s.stopped {
+		s.signalLocked()
+	}
 }
 
 func (s *Sim) signalLocked() {
@@ -560,14 +456,12 @@ func (t *simTimer) Stop() bool {
 	if t.granted {
 		// Reclaim the token of a delivered-but-unconsumed tick, or
 		// one whose consumer received it but exited via its stop
-		// channel instead of BecomeScoped.
+		// channel instead of adopting it.
 		select {
 		case <-t.ch:
 			t.granted = false
 			s.busy--
-			if s.busy == 0 && len(s.timers) > 0 && !s.stopped {
-				s.signalLocked()
-			}
+			s.signalIfIdleLocked()
 		default:
 		}
 	}
@@ -679,43 +573,43 @@ func (h *timerHeap) Pop() any {
 	return t
 }
 
-// gid returns the calling goroutine's id, parsed from the first stack
-// line ("goroutine N [running]:"). The runtime offers no cheaper
-// public accessor; a 64-byte Stack call costs on the order of a
-// microsecond, which the scoped-token call sites amortize over whole
-// RPC executions.
-func gid() uint64 {
-	var buf [64]byte
-	n := runtime.Stack(buf[:], false)
-	const prefix = len("goroutine ")
-	var id uint64
-	for _, c := range buf[prefix:n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
-}
-
-// Snapshot reports the clock's internal accounting — busy tokens,
-// scoped holders, pending timers, and virtual now — for tests and
-// stall diagnostics.
-func (s *Sim) Snapshot() (busy int, scoped map[uint64]int, timers int, now time.Time) {
+// Snapshot reports the clock's internal accounting for tests and stall
+// diagnostics: busy tokens, the tokens held per scope label ("root",
+// "dispatch <node>", "tick", "go"; scopes sharing a label are summed),
+// pending timers, and virtual now.
+func (s *Sim) Snapshot() (busy int, scoped map[string]int, timers int, now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sc := make(map[uint64]int, len(s.scoped))
-	for g, n := range s.scoped {
-		sc[g] = n
+	sc := make(map[string]int)
+	for h := s.holders; h != nil; h = h.next {
+		sc[h.label] += h.tokens
 	}
 	return s.busy, sc, len(s.timers), s.now
 }
 
+// Stall renders Snapshot as one line for a wedged-round report, holders
+// sorted by label; a parked holder's tokens are marked as not counting.
+func (s *Sim) Stall() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var hs []string
+	for h := s.holders; h != nil; h = h.next {
+		e := h.label + "=" + strconv.Itoa(h.tokens)
+		if h.park > 0 {
+			e += " (parked)"
+		}
+		hs = append(hs, e)
+	}
+	sort.Strings(hs)
+	return "busy=" + strconv.Itoa(s.busy) + " holders=[" + strings.Join(hs, ", ") + "] timers=" +
+		strconv.Itoa(len(s.timers)) + " now=+" + s.now.Sub(simEpoch).String()
+}
+
 // tickLoop is the Sim implementation behind clock.TickLoop. Each
 // iteration either claims an already-buffered tick under the clock
-// lock (acquiring a scoped token with no unprotected gap) or declares
+// lock (binding a token to sc with no unprotected gap) or declares
 // itself waiting so the next fire hands a token over with the tick.
-func (s *Sim) tickLoop(tk Ticker, stop <-chan struct{}, body func()) {
+func (s *Sim) tickLoop(sc *Scope, tk Ticker, stop <-chan struct{}, body func(*Scope)) {
 	st, ok := tk.(simTicker)
 	if !ok {
 		for {
@@ -723,12 +617,11 @@ func (s *Sim) tickLoop(tk Ticker, stop <-chan struct{}, body func()) {
 			case <-stop:
 				return
 			case <-tk.C():
-				body()
+				body(sc)
 			}
 		}
 	}
 	t := st.t
-	g := gid()
 	for {
 		select {
 		case <-stop:
@@ -739,10 +632,9 @@ func (s *Sim) tickLoop(tk Ticker, stop <-chan struct{}, body func()) {
 		select {
 		case <-t.ch:
 			// A buffered tick from a fire that found us busy: claim it
-			// and a scoped token in one step.
+			// and a token in one step.
 			t.granted = false
-			s.scoped[g]++
-			s.busy++
+			s.bindLocked(sc)
 		default:
 			t.waiting = true
 			s.mu.Unlock()
@@ -757,9 +649,7 @@ func (s *Sim) tickLoop(tk Ticker, stop <-chan struct{}, body func()) {
 					case <-t.ch:
 						t.granted = false
 						s.busy--
-						if s.busy == 0 && len(s.timers) > 0 && !s.stopped {
-							s.signalLocked()
-						}
+						s.signalIfIdleLocked()
 					default:
 					}
 				}
@@ -768,23 +658,20 @@ func (s *Sim) tickLoop(tk Ticker, stop <-chan struct{}, body func()) {
 			case <-t.ch:
 				s.mu.Lock()
 				if t.granted {
-					// Rebind the fire's transfer token as our scoped
-					// token; busy stays put.
+					// Rebind the fire's token to sc; busy stays put.
 					t.granted = false
-					s.scoped[g]++
+					s.adoptLocked(sc)
 				} else {
 					// Tick from a stopped clock's flush: no token came
-					// with it, take a scoped one so the release below
-					// balances.
-					s.scoped[g]++
-					s.busy++
+					// with it, bind one so the release below balances.
+					s.bindLocked(sc)
 				}
 			}
 		}
 		s.mu.Unlock()
 		s.activity.Add(1)
-		body()
-		s.ReleaseScoped()
+		body(sc)
+		sc.Release()
 	}
 }
 
@@ -871,9 +758,7 @@ func (s *Sim) resumeTimers(ts map[*simTimer]struct{}) {
 		s.seq++
 		heap.Push(&s.timers, t)
 	}
-	if s.busy == 0 && len(s.timers) > 0 && !s.stopped {
-		s.signalLocked()
-	}
+	s.signalIfIdleLocked()
 	s.mu.Unlock()
 }
 
@@ -927,9 +812,7 @@ func (s *Sim) retimeTimers(ts map[*simTimer]struct{}, oldRate, newRate float64, 
 			s.seq++
 		}
 	}
-	if s.busy == 0 && len(s.timers) > 0 && !s.stopped {
-		s.signalLocked()
-	}
+	s.signalIfIdleLocked()
 	s.mu.Unlock()
 }
 

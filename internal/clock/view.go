@@ -108,9 +108,13 @@ func (v *NodeView) arm(t *simTimer, d time.Duration) bool {
 	return ok
 }
 
-// Sleep implements Clock. Identical to Sim.Sleep except the timer is
-// registered with the view, so a pause freezes in-progress sleeps too.
-func (v *NodeView) Sleep(d time.Duration) {
+// Sleep implements Clock as a wait of the root scope. Identical to
+// Sim.Sleep except the timer is registered with the view, so a pause
+// freezes in-progress sleeps too.
+func (v *NodeView) Sleep(d time.Duration) { v.sleep(v.s.root, d) }
+
+// sleep parks sc for d of view time.
+func (v *NodeView) sleep(sc *Scope, d time.Duration) {
 	s := v.s
 	s.activity.Add(1)
 	if d <= 0 {
@@ -121,11 +125,7 @@ func (v *NodeView) Sleep(d time.Duration) {
 	if !v.arm(t, d) {
 		return // clock stopped: waits complete immediately
 	}
-	g := gid()
-	s.park(g)
-	<-t.done
-	s.unpark(g)
-	s.Release()
+	s.awaitSleep(sc, t)
 }
 
 // After implements Clock.
@@ -190,18 +190,6 @@ func (v *NodeView) Acquire() { v.s.Acquire() }
 
 // Release implements Busy.
 func (v *NodeView) Release() { v.s.Release() }
-
-// AcquireScoped implements Busy.
-func (v *NodeView) AcquireScoped() { v.s.AcquireScoped() }
-
-// ReleaseScoped implements Busy.
-func (v *NodeView) ReleaseScoped() { v.s.ReleaseScoped() }
-
-// BecomeScoped implements Busy.
-func (v *NodeView) BecomeScoped() { v.s.BecomeScoped() }
-
-// Idle implements Busy.
-func (v *NodeView) Idle(fn func()) { v.s.Idle(fn) }
 
 // SetSkew rebases the view at the current instant: view time jumps by
 // offset (negative allowed — the jump is applied to the base, and the

@@ -149,7 +149,7 @@ func (s *Service) Stop() {
 func (s *Service) sweepLoop(t clock.Ticker) {
 	defer s.wg.Done()
 	defer t.Stop()
-	clock.TickLoop(s.ep.Clock(), t, s.stopCh, s.expireSessions)
+	clock.TickLoop(s.ep.Clock(), t, s.stopCh, func(*clock.Scope) { s.expireSessions() })
 }
 
 func (s *Service) expireSessions() {
@@ -341,10 +341,10 @@ func newSession(ep *transport.Endpoint, service netsim.NodeID, group string, pin
 func (s *Session) pingLoop(t clock.Ticker) {
 	defer s.wg.Done()
 	defer t.Stop()
-	clock.TickLoop(s.ep.Clock(), t, s.stopCh, func() {
+	clock.TickLoop(s.ep.Clock(), t, s.stopCh, func(sc *clock.Scope) {
 		if s.reestablish {
 			//neat:allow ambiguity -- fire-and-forget re-register: the next tick retries and the service dedups by session
-			_, _ = s.ep.Call(s.service, mRegister, registerMsg{Session: s.ep.ID(), Group: s.group}, 0)
+			_, _ = s.ep.CallIn(sc, s.service, mRegister, registerMsg{Session: s.ep.ID(), Group: s.group}, 0)
 		} else {
 			_ = s.ep.Notify(s.service, mPing, pingMsg{Session: s.ep.ID()})
 		}
@@ -370,9 +370,12 @@ func IsNoLeader(err error) bool {
 	return errors.As(err, &re) && re.Msg == ErrNoLeader.Error()
 }
 
+// The query helpers below wait through sc, the scope of the calling
+// goroutine (clock.Root(ep.Clock()) for drivers).
+
 // Leader asks the service who currently leads the group.
-func Leader(ep *transport.Endpoint, service netsim.NodeID, group string, timeout time.Duration) (netsim.NodeID, error) {
-	resp, err := ep.Call(service, mLeader, leaderReq{Group: group}, timeout)
+func Leader(sc *clock.Scope, ep *transport.Endpoint, service netsim.NodeID, group string, timeout time.Duration) (netsim.NodeID, error) {
+	resp, err := ep.CallIn(sc, service, mLeader, leaderReq{Group: group}, timeout)
 	if err != nil {
 		return "", err
 	}
@@ -381,8 +384,8 @@ func Leader(ep *transport.Endpoint, service netsim.NodeID, group string, timeout
 }
 
 // Members lists the live members of a group.
-func Members(ep *transport.Endpoint, service netsim.NodeID, group string, timeout time.Duration) ([]netsim.NodeID, error) {
-	resp, err := ep.Call(service, mMembers, membersReq{Group: group}, timeout)
+func Members(sc *clock.Scope, ep *transport.Endpoint, service netsim.NodeID, group string, timeout time.Duration) ([]netsim.NodeID, error) {
+	resp, err := ep.CallIn(sc, service, mMembers, membersReq{Group: group}, timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -391,14 +394,14 @@ func Members(ep *transport.Endpoint, service netsim.NodeID, group string, timeou
 }
 
 // Put stores data at a path on the service.
-func Put(ep *transport.Endpoint, service netsim.NodeID, path, data string, timeout time.Duration) error {
-	_, err := ep.Call(service, mPut, putReq{Path: path, Data: data}, timeout)
+func Put(sc *clock.Scope, ep *transport.Endpoint, service netsim.NodeID, path, data string, timeout time.Duration) error {
+	_, err := ep.CallIn(sc, service, mPut, putReq{Path: path, Data: data}, timeout)
 	return err
 }
 
 // Get reads a path from the service.
-func Get(ep *transport.Endpoint, service netsim.NodeID, path string, timeout time.Duration) (string, error) {
-	resp, err := ep.Call(service, mGet, getReq{Path: path}, timeout)
+func Get(sc *clock.Scope, ep *transport.Endpoint, service netsim.NodeID, path string, timeout time.Duration) (string, error) {
+	resp, err := ep.CallIn(sc, service, mGet, getReq{Path: path}, timeout)
 	if err != nil {
 		return "", err
 	}

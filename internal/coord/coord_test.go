@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"neat/internal/clock"
 	"neat/internal/netsim"
 	"neat/internal/transport"
 )
@@ -40,14 +41,14 @@ func TestRegisterAndLeaderSeniority(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sb.Close()
-	leader, err := Leader(a, "zk", "g", time.Second)
+	leader, err := Leader(clock.Root(a.Clock()), a, "zk", "g", time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if leader != "a" {
 		t.Fatalf("leader = %s, want the senior registrant a", leader)
 	}
-	members, err := Members(a, "zk", "g", time.Second)
+	members, err := Members(clock.Root(a.Clock()), a, "zk", "g", time.Second)
 	if err != nil || len(members) != 2 {
 		t.Fatalf("members = %v, %v", members, err)
 	}
@@ -71,7 +72,7 @@ func TestSessionExpiryPromotesNextSenior(t *testing.T) {
 	}))
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		leader, err := Leader(b, "zk", "g", time.Second)
+		leader, err := Leader(clock.Root(b.Clock()), b, "zk", "g", time.Second)
 		if err == nil && leader == "b" {
 			break
 		}
@@ -85,7 +86,7 @@ func TestSessionExpiryPromotesNextSenior(t *testing.T) {
 func TestLeaderOfEmptyGroup(t *testing.T) {
 	n, _ := service(t, Options{})
 	a := endpoint(t, n, "a")
-	if _, err := Leader(a, "zk", "nobody", time.Second); err == nil {
+	if _, err := Leader(clock.Root(a.Clock()), a, "zk", "nobody", time.Second); err == nil {
 		t.Fatal("leader of empty group must error")
 	}
 }
@@ -104,7 +105,7 @@ func TestReRegisterKeepsSeniority(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sa2.Close()
-	leader, _ := Leader(b, "zk", "g", time.Second)
+	leader, _ := Leader(clock.Root(b.Clock()), b, "zk", "g", time.Second)
 	if leader != "a" {
 		t.Fatalf("leader = %s, want a (seniority preserved)", leader)
 	}
@@ -121,7 +122,7 @@ func TestUnregisterReleasesLeadership(t *testing.T) {
 	if _, err := a.Call("zk", mUnreg, registerMsg{Session: "a", Group: "g"}, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	leader, err := Leader(b, "zk", "g", time.Second)
+	leader, err := Leader(clock.Root(b.Clock()), b, "zk", "g", time.Second)
 	if err != nil || leader != "b" {
 		t.Fatalf("leader = %s, %v; want b", leader, err)
 	}
@@ -130,14 +131,14 @@ func TestUnregisterReleasesLeadership(t *testing.T) {
 func TestPutGet(t *testing.T) {
 	n, _ := service(t, Options{})
 	a := endpoint(t, n, "a")
-	if err := Put(a, "zk", "/config/x", "42", time.Second); err != nil {
+	if err := Put(clock.Root(a.Clock()), a, "zk", "/config/x", "42", time.Second); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Get(a, "zk", "/config/x", time.Second)
+	got, err := Get(clock.Root(a.Clock()), a, "zk", "/config/x", time.Second)
 	if err != nil || got != "42" {
 		t.Fatalf("get = %q, %v", got, err)
 	}
-	if _, err := Get(a, "zk", "/missing", time.Second); err == nil {
+	if _, err := Get(clock.Root(a.Clock()), a, "zk", "/missing", time.Second); err == nil {
 		t.Fatal("missing path must error")
 	}
 }
@@ -205,7 +206,7 @@ func TestReestablishingSessionSurvivesExpiry(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	leader, err := Leader(a, "zk", "g", time.Second)
+	leader, err := Leader(clock.Root(a.Clock()), a, "zk", "g", time.Second)
 	if err != nil || leader != "a" {
 		t.Fatalf("leader = %s, %v; want the re-established a", leader, err)
 	}

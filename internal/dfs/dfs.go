@@ -452,7 +452,7 @@ func (dn *DataNode) Stop() {
 func (dn *DataNode) heartbeatLoop(t clock.Ticker) {
 	defer dn.wg.Done()
 	defer t.Stop()
-	clock.TickLoop(dn.ep.Clock(), t, dn.stopCh, func() {
+	clock.TickLoop(dn.ep.Clock(), t, dn.stopCh, func(*clock.Scope) {
 		_ = dn.ep.Notify(dn.cfg.NameNode, mHeartbeat, hbMsg{Node: dn.id})
 	})
 }

@@ -316,10 +316,10 @@ func (r *Replica) onPut(from netsim.NodeID, body any) (any, error) {
 	if spawn {
 		for _, p := range peers {
 			p := p
-			clock.Go(r.ep.Clock(), func() {
+			clock.Go(r.ep.Clock(), func(sc *clock.Scope) {
 				defer r.wg.Done()
 				//neat:allow ambiguity -- modeled async replication: a maybe-executed replicate re-sends via hints; version merges are idempotent
-				if _, err := r.ep.Call(p, mRepl, msg, r.cfg.RPCTimeout); err != nil && r.cfg.HintedHandoff {
+				if _, err := r.ep.CallIn(sc, p, mRepl, msg, r.cfg.RPCTimeout); err != nil && r.cfg.HintedHandoff {
 					r.mu.Lock()
 					r.hints = append(r.hints, hint{peer: p, msg: msg})
 					r.mu.Unlock()
@@ -376,11 +376,11 @@ func (r *Replica) antiEntropyLoop(t clock.Ticker) {
 	defer r.wg.Done()
 	defer t.Stop()
 	i := 0
-	clock.TickLoop(r.ep.Clock(), t, r.stopCh, func() {
+	clock.TickLoop(r.ep.Clock(), t, r.stopCh, func(sc *clock.Scope) {
 		if peers := r.peers(); len(peers) > 0 {
-			r.GossipWith(peers[i%len(peers)])
+			r.gossipWith(sc, peers[i%len(peers)])
 			i++
-			r.replayHints()
+			r.replayHints(sc)
 		}
 	})
 }
@@ -388,8 +388,12 @@ func (r *Replica) antiEntropyLoop(t clock.Ticker) {
 // GossipWith pulls a peer's digest and merges it (one anti-entropy
 // round, callable explicitly from tests).
 func (r *Replica) GossipWith(peer netsim.NodeID) {
+	r.gossipWith(clock.Root(r.ep.Clock()), peer)
+}
+
+func (r *Replica) gossipWith(sc *clock.Scope, peer netsim.NodeID) {
 	//neat:allow ambiguity -- read-only digest pull: a missed gossip round is retried on the next tick
-	resp, err := r.ep.Call(peer, mDigest, nil, r.cfg.RPCTimeout)
+	resp, err := r.ep.CallIn(sc, peer, mDigest, nil, r.cfg.RPCTimeout)
 	if err != nil {
 		return
 	}
@@ -405,7 +409,7 @@ func (r *Replica) GossipWith(peer netsim.NodeID) {
 }
 
 // replayHints attempts to deliver stored hints.
-func (r *Replica) replayHints() {
+func (r *Replica) replayHints(sc *clock.Scope) {
 	r.mu.Lock()
 	pending := r.hints
 	r.hints = nil
@@ -413,7 +417,7 @@ func (r *Replica) replayHints() {
 	var failed []hint
 	for _, h := range pending {
 		//neat:allow ambiguity -- hint replay is an idempotent version merge; failures simply re-queue
-		if _, err := r.ep.Call(h.peer, mRepl, h.msg, r.cfg.RPCTimeout); err != nil {
+		if _, err := r.ep.CallIn(sc, h.peer, mRepl, h.msg, r.cfg.RPCTimeout); err != nil {
 			failed = append(failed, h)
 		}
 	}

@@ -174,7 +174,7 @@ func (d *Detector) onHeartbeat(from netsim.NodeID, _ any) (any, error) {
 func (d *Detector) sendLoop(t clock.Ticker) {
 	defer d.wg.Done()
 	defer t.Stop()
-	clock.TickLoop(d.clk, t, d.stopCh, func() {
+	clock.TickLoop(d.clk, t, d.stopCh, func(*clock.Scope) {
 		for _, p := range d.peers {
 			_ = d.ep.Notify(p, heartbeatKind, nil)
 		}
@@ -184,7 +184,7 @@ func (d *Detector) sendLoop(t clock.Ticker) {
 func (d *Detector) checkLoop(t clock.Ticker) {
 	defer d.wg.Done()
 	defer t.Stop()
-	clock.TickLoop(d.clk, t, d.stopCh, d.sweep)
+	clock.TickLoop(d.clk, t, d.stopCh, func(*clock.Scope) { d.sweep() })
 }
 
 func (d *Detector) sweep() {

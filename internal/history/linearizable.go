@@ -105,7 +105,7 @@ func checkRegistersParallel(spec RegisterSpec, h History, keys []string) [][]Vio
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		//neat:allow checkerpurity -- pure per-key fan-out on clock.Real{} (no busy accounting); slotted output keeps merge order deterministic
-		clock.Go(clock.Real{}, func() {
+		clock.Go(clock.Real{}, func(*clock.Scope) {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1

@@ -150,6 +150,7 @@ func (nd *Node) onRunJob(from netsim.NodeID, body any) (any, error) {
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	clk := nd.ep.Clock()
+	sc := nd.ep.DispatchScope()
 	for _, member := range nd.cfg.Nodes {
 		if member == nd.id {
 			// The leader is an agent too and executes in-process — it
@@ -166,18 +167,18 @@ func (nd *Node) onRunJob(from netsim.NodeID, body any) (any, error) {
 		wg.Add(1)
 		// clock.Go accounts each dispatch worker as in-flight work, so a
 		// virtual clock cannot advance across the spawn gap; the join
-		// runs under clock.Idle so the workers' RPC timeouts can fire.
-		clock.Go(clk, func() {
+		// parks the handler's scope so the workers' RPC timeouts can fire.
+		clock.Go(clk, func(sc *clock.Scope) {
 			defer wg.Done()
 			//neat:allow ambiguity -- modeled DKron dispatch: only acked executes count; the maybe-executed gap is the reproduced double-run
-			if _, err := nd.ep.Call(member, mExecute, executeReq{Job: req.Job}, nd.cfg.RPCTimeout); err == nil {
+			if _, err := nd.ep.CallIn(sc, member, mExecute, executeReq{Job: req.Job}, nd.cfg.RPCTimeout); err == nil {
 				mu.Lock()
 				acks++
 				mu.Unlock()
 			}
 		})
 	}
-	clock.Idle(clk, wg.Wait)
+	sc.Idle(wg.Wait)
 
 	status := StatusSucceeded
 	if nd.cfg.TruthfulStatus {
@@ -195,7 +196,7 @@ func (nd *Node) onRunJob(from netsim.NodeID, body any) (any, error) {
 	}
 	// Record in the central store — reachable even when the agents
 	// are not, which is exactly how the misleading status is born.
-	_ = coord.Put(nd.ep, nd.cfg.Store, "/jobs/"+req.Job, status, nd.cfg.RPCTimeout)
+	_ = coord.Put(sc, nd.ep, nd.cfg.Store, "/jobs/"+req.Job, status, nd.cfg.RPCTimeout)
 	if status == StatusFailed {
 		return status, fmt.Errorf("jobsched: job %s: only %d of %d acks", req.Job, acks, nd.cfg.QuorumAcks)
 	}
@@ -246,7 +247,7 @@ func (c *Client) ExecutionsOn(node netsim.NodeID, job string) (int, error) {
 
 // RecordedStatus reads the job status from the central store.
 func (c *Client) RecordedStatus(job string) (string, error) {
-	return coord.Get(c.ep, c.cfg.Store, "/jobs/"+job, c.timeout)
+	return coord.Get(clock.Root(c.ep.Clock()), c.ep, c.cfg.Store, "/jobs/"+job, c.timeout)
 }
 
 // MaybeExecuted reports whether a failed operation may nevertheless

@@ -245,7 +245,7 @@ func (r *Replica) BecomeLeader() {
 	r.leader = r.id
 	r.term++
 	r.mu.Unlock()
-	r.broadcastHeartbeats()
+	r.broadcastHeartbeats(clock.Root(r.clk))
 }
 
 func (r *Replica) prio() int { return r.cfg.Priorities[r.id] }
@@ -295,20 +295,20 @@ func (r *Replica) applyLocked(op Op) {
 func (r *Replica) tickLoop(t clock.Ticker) {
 	defer r.wg.Done()
 	defer t.Stop()
-	clock.TickLoop(r.clk, t, r.stopCh, func() {
+	clock.TickLoop(r.clk, t, r.stopCh, func(sc *clock.Scope) {
 		r.mu.Lock()
 		role := r.role
 		silent := r.clk.Now().Sub(r.lastLeaderHeard)
 		r.mu.Unlock()
 		if role == Leader {
-			r.broadcastHeartbeats()
+			r.broadcastHeartbeats(sc)
 		} else if silent > r.cfg.ElectionTimeout {
-			r.campaign()
+			r.campaign(sc)
 		}
 	})
 }
 
-func (r *Replica) broadcastHeartbeats() {
+func (r *Replica) broadcastHeartbeats(sc *clock.Scope) {
 	r.mu.Lock()
 	if r.role != Leader {
 		r.mu.Unlock()
@@ -324,10 +324,10 @@ func (r *Replica) broadcastHeartbeats() {
 	for _, p := range peers {
 		p := p
 		wg.Add(1)
-		clock.Go(r.clk, func() {
+		clock.Go(r.clk, func(sc *clock.Scope) {
 			defer wg.Done()
 			//neat:allow ambiguity -- heartbeat is idempotent; a timed-out beat just counts as no ack
-			resp, err := r.ep.Call(p, mHB, msg, r.cfg.HeartbeatInterval)
+			resp, err := r.ep.CallIn(sc, p, mHB, msg, r.cfg.HeartbeatInterval)
 			if err != nil {
 				return
 			}
@@ -338,7 +338,7 @@ func (r *Replica) broadcastHeartbeats() {
 			}
 		})
 	}
-	clock.Idle(r.clk, wg.Wait)
+	sc.Idle(wg.Wait)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -361,7 +361,7 @@ func (r *Replica) broadcastHeartbeats() {
 	}
 }
 
-func (r *Replica) campaign() {
+func (r *Replica) campaign(sc *clock.Scope) {
 	r.mu.Lock()
 	if r.role == Leader || r.stopped {
 		r.mu.Unlock()
@@ -388,10 +388,10 @@ func (r *Replica) campaign() {
 	for _, p := range peers {
 		p := p
 		wg.Add(1)
-		clock.Go(r.clk, func() {
+		clock.Go(r.clk, func(sc *clock.Scope) {
 			defer wg.Done()
 			//neat:allow ambiguity -- votes are term-guarded and idempotent; a lost grant is a missing ack
-			resp, err := r.ep.Call(p, mVote, voteReq{Cand: cand}, r.cfg.RPCTimeout)
+			resp, err := r.ep.CallIn(sc, p, mVote, voteReq{Cand: cand}, r.cfg.RPCTimeout)
 			if err != nil {
 				return
 			}
@@ -404,7 +404,7 @@ func (r *Replica) campaign() {
 			mu.Unlock()
 		})
 	}
-	clock.Idle(r.clk, wg.Wait)
+	sc.Idle(wg.Wait)
 
 	won := false
 	if mode.RequiresMajority() {
@@ -430,7 +430,7 @@ func (r *Replica) campaign() {
 	r.leader = r.id
 	r.leaseMissed = 0
 	r.mu.Unlock()
-	r.broadcastHeartbeats()
+	r.broadcastHeartbeats(sc)
 }
 
 // --- RPC handlers ---
@@ -460,9 +460,9 @@ func (r *Replica) onHeartbeat(from netsim.NodeID, body any) (any, error) {
 			if !r.syncing && !r.stopped {
 				r.syncing = true
 				r.wg.Add(1)
-				clock.Go(r.clk, func() {
+				clock.Go(r.clk, func(sc *clock.Scope) {
 					defer r.wg.Done()
-					r.pullSnapshot(msg.Leader)
+					r.pullSnapshot(sc, msg.Leader)
 				})
 			}
 			r.mu.Unlock()
@@ -485,9 +485,9 @@ func (r *Replica) onHeartbeat(from netsim.NodeID, body any) (any, error) {
 			// tail was written in a stale term and must be truncated.
 			r.syncing = true
 			r.wg.Add(1)
-			clock.Go(r.clk, func() {
+			clock.Go(r.clk, func(sc *clock.Scope) {
 				defer r.wg.Done()
-				r.pullSnapshot(msg.Leader)
+				r.pullSnapshot(sc, msg.Leader)
 			})
 		}
 	}
@@ -561,9 +561,9 @@ func (r *Replica) onAppend(from netsim.NodeID, body any) (any, error) {
 			if !r.syncing && !r.stopped {
 				r.syncing = true
 				r.wg.Add(1)
-				clock.Go(r.clk, func() {
+				clock.Go(r.clk, func(sc *clock.Scope) {
 					defer r.wg.Done()
-					r.pullSnapshot(msg.Leader)
+					r.pullSnapshot(sc, msg.Leader)
 				})
 			}
 			return appendResp{OK: false}, nil
@@ -590,9 +590,9 @@ func (r *Replica) onSnapshot(netsim.NodeID, any) (any, error) {
 // complete and all replicas should update/trim their data sets to match
 // the leader copy". Divergent local writes are discarded (data loss)
 // and keys the winner never saw deleted come back (reappearance).
-func (r *Replica) pullSnapshot(leader netsim.NodeID) {
+func (r *Replica) pullSnapshot(sc *clock.Scope, leader netsim.NodeID) {
 	//neat:allow ambiguity -- read-only snapshot pull; an aborted sync retries on the next cycle
-	resp, err := r.ep.Call(leader, mSnap, nil, r.cfg.RPCTimeout)
+	resp, err := r.ep.CallIn(sc, leader, mSnap, nil, r.cfg.RPCTimeout)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.syncing = false
@@ -621,7 +621,7 @@ func (r *Replica) onPut(from netsim.NodeID, body any) (any, error) {
 	if !ok {
 		return nil, errors.New("bad put")
 	}
-	return nil, r.propose(Op{Key: req.Key, Val: req.Val})
+	return nil, r.propose(r.ep.DispatchScope(), Op{Key: req.Key, Val: req.Val})
 }
 
 func (r *Replica) onDel(from netsim.NodeID, body any) (any, error) {
@@ -629,10 +629,10 @@ func (r *Replica) onDel(from netsim.NodeID, body any) (any, error) {
 	if !ok {
 		return nil, errors.New("bad delete")
 	}
-	return nil, r.propose(Op{Key: req.Key, Del: true})
+	return nil, r.propose(r.ep.DispatchScope(), Op{Key: req.Key, Del: true})
 }
 
-func (r *Replica) propose(op Op) error {
+func (r *Replica) propose(sc *clock.Scope, op Op) error {
 	r.mu.Lock()
 	if r.role != Leader {
 		leader := r.leader
@@ -668,10 +668,10 @@ func (r *Replica) propose(op Op) error {
 	for _, p := range peers {
 		p := p
 		wg.Add(1)
-		clock.Go(r.clk, func() {
+		clock.Go(r.clk, func(sc *clock.Scope) {
 			defer wg.Done()
 			//neat:allow ambiguity -- modeled replication counts only acked appends; the ambiguous window is the studied gap
-			resp, err := r.ep.Call(p, mAppend, msg, r.cfg.RPCTimeout)
+			resp, err := r.ep.CallIn(sc, p, mAppend, msg, r.cfg.RPCTimeout)
 			if err != nil {
 				return
 			}
@@ -682,7 +682,7 @@ func (r *Replica) propose(op Op) error {
 			}
 		})
 	}
-	clock.Idle(r.clk, wg.Wait)
+	sc.Idle(wg.Wait)
 
 	need := r.cfg.Majority()
 	if r.cfg.WriteConcern == WriteAll {
@@ -722,7 +722,7 @@ func (r *Replica) onGet(from netsim.NodeID, body any) (any, error) {
 		return nil, &NotLeaderError{Leader: leader}
 	}
 	if role == Leader && r.cfg.ReadConcern == ReadMajority {
-		if !r.confirmMajority() {
+		if !r.confirmMajority(r.ep.DispatchScope()) {
 			return nil, ErrNoQuorum
 		}
 		// Re-read after confirmation: consolidation may have run.
@@ -743,7 +743,7 @@ func (r *Replica) onGet(from netsim.NodeID, body any) (any, error) {
 // confirmMajority performs a synchronous heartbeat round and reports
 // whether a majority acknowledged. It is the read-barrier that makes
 // ReadMajority immune to the overlap window.
-func (r *Replica) confirmMajority() bool {
+func (r *Replica) confirmMajority(sc *clock.Scope) bool {
 	r.mu.Lock()
 	msg := hbMsg{Term: r.term, Leader: r.id, LogLen: len(r.log), LogTerm: r.lastLogTermLocked(), LastTS: r.lastTS, Prio: r.prio()}
 	peers := r.peers()
@@ -755,10 +755,10 @@ func (r *Replica) confirmMajority() bool {
 	for _, p := range peers {
 		p := p
 		wg.Add(1)
-		clock.Go(r.clk, func() {
+		clock.Go(r.clk, func(sc *clock.Scope) {
 			defer wg.Done()
 			//neat:allow ambiguity -- heartbeat is idempotent; a timed-out beat just counts as no ack
-			resp, err := r.ep.Call(p, mHB, msg, r.cfg.RPCTimeout)
+			resp, err := r.ep.CallIn(sc, p, mHB, msg, r.cfg.RPCTimeout)
 			if err != nil {
 				return
 			}
@@ -769,7 +769,7 @@ func (r *Replica) confirmMajority() bool {
 			}
 		})
 	}
-	clock.Idle(r.clk, wg.Wait)
+	sc.Idle(wg.Wait)
 	return acks >= maj
 }
 

@@ -48,10 +48,11 @@ func runAmbiguity(p *Pass) error {
 	return nil
 }
 
-// isEndpointCall reports whether call invokes (*transport.Endpoint).Call.
+// isEndpointCall reports whether call invokes (*transport.Endpoint).Call
+// or its scoped form CallIn.
 func isEndpointCall(p *Pass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Call" {
+	if !ok || (sel.Sel.Name != "Call" && sel.Sel.Name != "CallIn") {
 		return false
 	}
 	s := p.Info.Selections[sel]

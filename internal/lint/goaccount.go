@@ -8,14 +8,15 @@ import (
 // accountingNames are the internal/clock entry points that tie a
 // goroutine (or the work it consumes) into the virtual clock's
 // busy-token scheme. A spawned body that engages any of them is
-// accounted by construction: clock.Go rebinds the spawn token,
-// clock.TickLoop hands the consumer a token per tick, and the
-// Acquire/Scoped family moves tokens explicitly.
+// accounted by construction: clock.Go binds the spawn token to the
+// new goroutine's scope, clock.TickLoop hands the consumer a token per
+// tick, and the Acquire/Scoped family moves tokens explicitly. A
+// spawned function that takes a *clock.Scope is accounted too: its
+// scope is its handle on the clock (the transport dispatcher).
 var accountingNames = map[string]bool{
-	"Go": true, "TickLoop": true, "Idle": true, "Gid": true,
+	"Go": true, "TickLoop": true, "Idle": true,
 	"Acquire": true, "Release": true,
-	"AcquireScoped": true, "ReleaseScoped": true, "BecomeScoped": true,
-	"AcquireScopedAs": true, "ReleaseScopedAs": true,
+	"AcquireScoped": true, "ReleaseScoped": true,
 }
 
 // GoAccount reports bare go statements in clock-participating packages
@@ -26,12 +27,12 @@ var accountingNames = map[string]bool{
 // observable action, landing fresh work nondeterministically before or
 // after the next timer. Spawns must go through clock.Go, or launch a
 // body that engages the token scheme itself (a clock.TickLoop service
-// loop, a dispatcher doing scoped-token accounting). Test files are
-// exempt — test-driver goroutines run outside the simulation.
+// loop) or takes its *clock.Scope (a transport dispatcher). Test files
+// are exempt — test-driver goroutines run outside the simulation.
 var GoAccount = &Analyzer{
 	Name: "goaccount",
 	Doc: "forbid bare go statements in packages importing internal/clock; goroutines are accounted " +
-		"via clock.Go or a token-accounting body (clock.TickLoop, scoped tokens)",
+		"via clock.Go, a token-accounting body (clock.TickLoop, scoped tokens), or a body taking its *clock.Scope",
 	Run: runGoAccount,
 }
 
@@ -49,7 +50,7 @@ func runGoAccount(p *Pass) error {
 			if !ok {
 				return true
 			}
-			if body := spawnedBody(p, g, decls); body != nil && referencesAccounting(p, body) {
+			if ft, body := spawnedFunc(p, g, decls); body != nil && (takesScope(p, ft) || referencesAccounting(p, body)) {
 				return true
 			}
 			p.Reportf(g.Pos(),
@@ -77,24 +78,48 @@ func packageFuncDecls(p *Pass) map[types.Object]*ast.FuncDecl {
 	return out
 }
 
-// spawnedBody resolves the body the go statement runs: a function
+// spawnedFunc resolves the function the go statement runs: a function
 // literal directly, or the declaration of a same-package function or
 // method. Cross-package callees resolve to nil — their bodies are not
 // in this pass, so the spawn needs clock.Go or an escape.
-func spawnedBody(p *Pass, g *ast.GoStmt, decls map[types.Object]*ast.FuncDecl) *ast.BlockStmt {
+func spawnedFunc(p *Pass, g *ast.GoStmt, decls map[types.Object]*ast.FuncDecl) (*ast.FuncType, *ast.BlockStmt) {
 	switch fun := g.Call.Fun.(type) {
 	case *ast.FuncLit:
-		return fun.Body
+		return fun.Type, fun.Body
 	case *ast.Ident:
 		if fd := decls[p.Info.Uses[fun]]; fd != nil {
-			return fd.Body
+			return fd.Type, fd.Body
 		}
 	case *ast.SelectorExpr:
 		if fd := decls[p.Info.Uses[fun.Sel]]; fd != nil {
-			return fd.Body
+			return fd.Type, fd.Body
 		}
 	}
-	return nil
+	return nil, nil
+}
+
+// takesScope reports whether a parameter of ft is a *clock.Scope.
+func takesScope(p *Pass, ft *ast.FuncType) bool {
+	for _, f := range ft.Params.List {
+		if isScopePtr(p.Info.TypeOf(f.Type)) {
+			return true
+		}
+	}
+	return false
+}
+
+// isScopePtr reports whether t is *clock.Scope.
+func isScopePtr(t types.Type) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Scope" && obj.Pkg() != nil && obj.Pkg().Path() == clockPkgPath
 }
 
 // referencesAccounting reports whether body engages the busy-token
@@ -115,7 +140,8 @@ func referencesAccounting(p *Pass, body *ast.BlockStmt) bool {
 			return false
 		}
 		if p.Info.Selections[sel] != nil {
-			// A method with an accounting name (Busy's Acquire/Idle/...).
+			// A method with an accounting name (Busy's or Scope's
+			// Acquire/Release/Idle).
 			found = true
 			return false
 		}

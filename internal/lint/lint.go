@@ -36,9 +36,9 @@
 //     Stop on all paths, early returns and panics included — a leaked
 //     timer wedges Sim quiescence and surfaces only as a watchdog
 //     engine-error.
-//   - tokenbalance: busy-token Acquire/Release (transfer, scoped, and
-//     gid-scoped flavours) balanced on every path — an unreleased
-//     token freezes virtual time.
+//   - tokenbalance: busy-token Acquire/Release balanced on every path
+//     on the same ledger (transfer, root scope, or one *clock.Scope
+//     handle) — an unreleased token freezes virtual time.
 //   - checkerpurity: functions with the history.Check shape, and
 //     everything they call, stay pure — no package-level writes, no
 //     clock/rand/IO, no mutation of the received History — so

@@ -1,7 +1,8 @@
 // Package tokenbalance exercises the busy-token balance dataflow:
-// tokens leaked on early returns and panic paths, flavour mismatches,
+// tokens leaked on early returns and panic paths, ledger mismatches,
 // and the legal shapes — deferred releases, both-arm releases, the
-// goroutine handoff idiom, and consuming a token acquired elsewhere.
+// goroutine handoff idiom, binding to another goroutine's scope, and
+// consuming a token acquired elsewhere.
 package tokenbalance
 
 import (
@@ -11,8 +12,9 @@ import (
 )
 
 type worker struct {
-	clk clock.Clock
-	ch  chan int
+	clk  clock.Clock
+	disp *clock.Scope
+	ch   chan int
 }
 
 // The error path returns with the token outstanding.
@@ -34,7 +36,7 @@ func (w *worker) leakOnPanic(bad bool) {
 	clock.ReleaseScoped(w.clk)
 }
 
-// Flavours don't cross: a scoped release cannot retire a transfer
+// Ledgers don't cross: a root-scope release cannot retire a transfer
 // token.
 func (w *worker) flavourMismatch() {
 	clock.Acquire(w.clk) // want `may not be released on every path`
@@ -85,9 +87,37 @@ func (w *worker) consumer() {
 	clock.Release(w.clk)
 }
 
-// BecomeScoped retires the transfer obligation by rebinding it into
-// the goroutine's scope.
-func (w *worker) rebind() {
-	clock.Acquire(w.clk)
-	clock.BecomeScoped(w.clk)
+// A token bound to a scope handle must be retired through that handle.
+func (w *worker) scopeLeak(sc *clock.Scope, down bool) error {
+	sc.Acquire() // want `may not be released on every path`
+	if down {
+		return errors.New("down")
+	}
+	sc.Release()
+	return nil
+}
+
+// Handles don't cross: releasing one scope cannot retire another's
+// token, nor can a transfer release retire a scoped one.
+func (w *worker) wrongHandle(a, b *clock.Scope) {
+	a.Acquire() // want `may not be released on every path`
+	b.Release()
+	clock.Release(w.clk)
+}
+
+// A deferred release through the same handle balances.
+func (w *worker) scopeDeferred(sc *clock.Scope, bad bool) {
+	sc.Acquire()
+	defer sc.Release()
+	if bad {
+		panic("bad")
+	}
+}
+
+// Binding a token to a scope reached through a field hands the work to
+// the goroutine that scope stands for (a queued request bound to its
+// dispatcher); that goroutine retires it.
+func (w *worker) bindToDispatcher() {
+	w.disp.Acquire()
+	w.ch <- 1
 }

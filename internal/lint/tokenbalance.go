@@ -6,50 +6,18 @@ import (
 	"go/types"
 )
 
-// Busy-token flavours. Transfer tokens (Acquire/Release) follow a
-// unit of work between goroutines; scoped tokens (AcquireScoped/
-// ReleaseScoped) bind to the calling goroutine and are surrendered
-// while it parks in a clock wait; gid-scoped tokens (AcquireScopedAs/
-// ReleaseScopedAs) bind to another goroutine's scope. A token of one
-// flavour can only be retired by its own flavour's release (or, for
-// transfer tokens, rebound by BecomeScoped).
-type tokenFlavour int
-
+// Busy tokens live on ledgers. Transfer tokens (clock.Acquire/
+// Release, or a Busy method) follow a unit of work between goroutines
+// and share one ledger. Scoped tokens are bound to a *clock.Scope
+// handle: the implicit root forms (clock.AcquireScoped/ReleaseScoped)
+// act on the root scope, and Scope.Acquire/Release on the handle they
+// are called on. A token can only be retired through its own ledger,
+// so the ledger is part of the obligation: "transfer", "root", or the
+// name of the scope variable.
 const (
-	tokenTransfer tokenFlavour = iota
-	tokenScoped
-	tokenGid
-	tokenNone
+	ledgerTransfer = "transfer"
+	ledgerRoot     = "root"
 )
-
-func (fl tokenFlavour) String() string {
-	switch fl {
-	case tokenTransfer:
-		return "transfer"
-	case tokenScoped:
-		return "scoped"
-	case tokenGid:
-		return "gid-scoped"
-	}
-	return "?"
-}
-
-// acquireFlavours maps internal/clock's token entry points to the
-// flavour they acquire, releaseFlavours to the flavour they retire.
-// BecomeScoped retires a transfer token (rebinding it into the
-// goroutine's scope, where it becomes a scoped obligation).
-var acquireFlavours = map[string]tokenFlavour{
-	"Acquire":         tokenTransfer,
-	"AcquireScoped":   tokenScoped,
-	"AcquireScopedAs": tokenGid,
-}
-
-var releaseFlavours = map[string]tokenFlavour{
-	"Release":         tokenTransfer,
-	"BecomeScoped":    tokenTransfer,
-	"ReleaseScoped":   tokenScoped,
-	"ReleaseScopedAs": tokenGid,
-}
 
 // TokenBalance reports busy-token acquisitions that may never be
 // released on some path to the function's exit — including early
@@ -59,18 +27,20 @@ var releaseFlavours = map[string]tokenFlavour{
 // time forever (the round wedges until the wall-clock watchdog kills
 // it), while a silently unbalanced path that releases elsewhere makes
 // the freeze schedule-dependent — the worst kind of flaky. The
-// analysis is a forward may-be-outstanding dataflow per function:
-// clock.Acquire/AcquireScoped/AcquireScopedAs (package helpers or
-// Busy methods) gen a fact of their flavour; a release of the same
-// flavour — inline, deferred, deferred inside a closure, or inside a
-// spawned goroutine body that takes ownership of the handoff — kills
-// it. Releases without a matching local acquire are the transfer
-// scheme working as designed (the token arrived from another
-// goroutine) and are never reported. Test files and internal/clock
-// itself are out of scope.
+// analysis is a forward may-be-outstanding dataflow per function: an
+// acquire gens a fact on its ledger; a release on the same ledger —
+// inline, deferred, deferred inside a closure, or inside a spawned
+// goroutine body that takes ownership of the handoff — kills it.
+// Releases without a matching local acquire are the transfer scheme
+// working as designed (the token arrived from another goroutine) and
+// are never reported. Binding a token to a scope reached through a
+// field or call (e.disp.Acquire()) is a handoff to the goroutine that
+// scope stands for, which retires it; only scopes named by a local
+// variable or parameter are this function's to balance. Test files
+// and internal/clock itself are out of scope.
 var TokenBalance = &Analyzer{
 	Name: "tokenbalance",
-	Doc: "require every busy-token Acquire/AcquireScoped to reach a same-flavour Release on all paths " +
+	Doc: "require every busy-token Acquire/AcquireScoped to reach a Release on the same ledger (transfer, root, or scope handle) on all paths " +
 		"(early returns and panics included); an unreleased token freezes Sim quiescence",
 	Run: runTokenBalance,
 }
@@ -92,9 +62,9 @@ func runTokenBalance(p *Pass) error {
 
 // A tokenSite is one tracked acquisition.
 type tokenSite struct {
-	pos     token.Pos
-	flavour tokenFlavour
-	name    string // the acquiring call's name, for the message
+	pos    token.Pos
+	ledger string
+	name   string // the acquiring call's name, for the message
 }
 
 func checkTokenUnit(p *Pass, u funcUnit) {
@@ -112,11 +82,11 @@ func checkTokenUnit(p *Pass, u funcUnit) {
 				if !ok {
 					return true
 				}
-				name, fl := tokenCallFlavour(p, call, acquireFlavours)
-				if fl == tokenNone || len(sites) >= 64 {
+				name, ledger, acquire := tokenOp(p, call)
+				if ledger == "" || !acquire || len(sites) >= 64 {
 					return true
 				}
-				sites = append(sites, &tokenSite{pos: call.Pos(), flavour: fl, name: name})
+				sites = append(sites, &tokenSite{pos: call.Pos(), ledger: ledger, name: name})
 				return true
 			})
 		}
@@ -124,10 +94,10 @@ func checkTokenUnit(p *Pass, u funcUnit) {
 	if len(sites) == 0 {
 		return
 	}
-	flavourMask := func(fl tokenFlavour) uint64 {
+	ledgerMask := func(ledger string) uint64 {
 		var m uint64
 		for i, s := range sites {
-			if s.flavour == fl {
+			if s.ledger == ledger {
 				m |= uint64(1) << i
 			}
 		}
@@ -137,7 +107,7 @@ func checkTokenUnit(p *Pass, u funcUnit) {
 	transfer := func(b *cfgBlock, in uint64) uint64 {
 		facts := in
 		for _, n := range b.nodes {
-			facts = tokenNodeTransfer(p, n, sites, flavourMask, facts)
+			facts = tokenNodeTransfer(p, n, sites, ledgerMask, facts)
 		}
 		return facts
 	}
@@ -151,32 +121,32 @@ func checkTokenUnit(p *Pass, u funcUnit) {
 		case leakedExit&bit != 0:
 			p.Reportf(s.pos,
 				"busy token from %s may not be released on every path: an outstanding %s token freezes Sim quiescence until the watchdog kills the round; release it (or defer the release) before every return",
-				s.name, s.flavour)
+				s.name, s.ledger)
 		case leakedPanic&bit != 0:
 			p.Reportf(s.pos,
-				"busy token from %s is not released on a panic path: only a deferred release survives the unwind; defer the %s-flavour release",
-				s.name, s.flavour)
+				"busy token from %s is not released on a panic path: only a deferred release survives the unwind; defer the %s release",
+				s.name, s.ledger)
 		}
 	}
 }
 
 // tokenNodeTransfer applies one statement's gen/kill effects. Any
-// release of flavour fl kills every outstanding site of fl: tokens
-// are counters, not values, so a release balances whichever
+// release on a ledger kills every outstanding site of that ledger:
+// tokens are counters, not values, so a release balances whichever
 // acquisition is outstanding. (Two simultaneous outstanding tokens
 // balanced by one release slip through — acceptable for an analyzer
 // that must never cry wolf; no function in this codebase holds two.)
-func tokenNodeTransfer(p *Pass, n ast.Node, sites []*tokenSite, flavourMask func(tokenFlavour) uint64, facts uint64) uint64 {
+func tokenNodeTransfer(p *Pass, n ast.Node, sites []*tokenSite, ledgerMask func(string) uint64, facts uint64) uint64 {
 	if d, ok := n.(*ast.DeferStmt); ok {
-		// defer clock.Release(c) / defer clock.ReleaseScoped(c) — or a
-		// deferred closure performing the release — runs on every
-		// later exit, normal or panicking.
-		if _, fl := tokenCallFlavour(p, d.Call, releaseFlavours); fl != tokenNone {
-			return facts &^ flavourMask(fl)
+		// defer clock.Release(c) / defer sc.Release() — or a deferred
+		// closure performing the release — runs on every later exit,
+		// normal or panicking.
+		if _, ledger, acquire := tokenOp(p, d.Call); ledger != "" && !acquire {
+			return facts &^ ledgerMask(ledger)
 		}
 		if lit, ok := d.Call.Fun.(*ast.FuncLit); ok {
-			for _, fl := range nestedReleaseFlavours(p, lit.Body) {
-				facts &^= flavourMask(fl)
+			for _, ledger := range nestedReleaseLedgers(p, lit.Body) {
+				facts &^= ledgerMask(ledger)
 			}
 		}
 		return facts
@@ -189,16 +159,16 @@ func tokenNodeTransfer(p *Pass, n ast.Node, sites []*tokenSite, flavourMask func
 					facts |= uint64(1) << i
 				}
 			}
-			if _, fl := tokenCallFlavour(p, m, releaseFlavours); fl != tokenNone {
-				facts &^= flavourMask(fl)
+			if _, ledger, acquire := tokenOp(p, m); ledger != "" && !acquire {
+				facts &^= ledgerMask(ledger)
 			}
 		case *ast.GoStmt:
 			// The handoff idiom: acquire, then spawn a body that
 			// releases — ownership of the token moves to the spawned
 			// goroutine. clock.Go performs exactly this internally.
 			if lit, ok := m.Call.Fun.(*ast.FuncLit); ok {
-				for _, fl := range nestedReleaseFlavours(p, lit.Body) {
-					facts &^= flavourMask(fl)
+				for _, ledger := range nestedReleaseLedgers(p, lit.Body) {
+					facts &^= ledgerMask(ledger)
 				}
 			}
 		}
@@ -207,41 +177,56 @@ func tokenNodeTransfer(p *Pass, n ast.Node, sites []*tokenSite, flavourMask func
 	return facts
 }
 
-// tokenCallFlavour resolves a call against one of the flavour tables:
-// a package-level helper (clock.Acquire(c)) or a Busy method
-// (b.Acquire()), both living in internal/clock.
-func tokenCallFlavour(p *Pass, call *ast.CallExpr, table map[string]tokenFlavour) (string, tokenFlavour) {
+// tokenOp classifies call as a busy-token acquire or release on one
+// of internal/clock's entry points and names the ledger it acts on.
+// ledger is "" for any other call, and for a Scope method whose scope
+// is not a local variable or parameter (a handoff; see TokenBalance).
+func tokenOp(p *Pass, call *ast.CallExpr) (name, ledger string, acquire bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return "", tokenNone
+		return "", "", false
 	}
-	fl, ok := table[sel.Sel.Name]
-	if !ok {
-		return "", tokenNone
+	switch sel.Sel.Name {
+	case "Acquire", "AcquireScoped":
+		acquire = true
+	case "Release", "ReleaseScoped":
+	default:
+		return "", "", false
 	}
 	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != clockPkgPath {
-		return "", tokenNone
+		return "", "", false
 	}
+	name = sel.Sel.Name
 	if p.PkgNameOf(sel.X) == clockPkgPath {
-		return "clock." + sel.Sel.Name, fl
+		name = "clock." + name
 	}
-	return sel.Sel.Name, fl
+	switch {
+	case sel.Sel.Name == "AcquireScoped" || sel.Sel.Name == "ReleaseScoped":
+		return name, ledgerRoot, acquire
+	case isScopePtr(p.Info.TypeOf(sel.X)):
+		id, ok := ast.Unparen(sel.X).(*ast.Ident)
+		if !ok {
+			return "", "", false
+		}
+		return id.Name + "." + sel.Sel.Name, "scope " + id.Name, acquire
+	}
+	return name, ledgerTransfer, acquire
 }
 
-// nestedReleaseFlavours lists the flavours released anywhere under
+// nestedReleaseLedgers lists the ledgers released on anywhere under
 // body, nested lits included.
-func nestedReleaseFlavours(p *Pass, body ast.Node) []tokenFlavour {
-	seen := map[tokenFlavour]bool{}
-	var out []tokenFlavour
+func nestedReleaseLedgers(p *Pass, body ast.Node) []string {
+	seen := map[string]bool{}
+	var out []string
 	ast.Inspect(body, func(m ast.Node) bool {
 		call, ok := m.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if _, fl := tokenCallFlavour(p, call, releaseFlavours); fl != tokenNone && !seen[fl] {
-			seen[fl] = true
-			out = append(out, fl)
+		if _, ledger, acquire := tokenOp(p, call); ledger != "" && !acquire && !seen[ledger] {
+			seen[ledger] = true
+			out = append(out, ledger)
 		}
 		return true
 	})

@@ -102,11 +102,11 @@ var renewPolicy = resilience.Policy{
 func (c *Client) renewLoop(t clock.Ticker) {
 	defer c.wg.Done()
 	defer t.Stop()
-	clock.TickLoop(c.ep.Clock(), t, c.stopCh, func() {
+	clock.TickLoop(c.ep.Clock(), t, c.stopCh, func(sc *clock.Scope) {
 		for _, rep := range c.replicas {
 			rep := rep
-			resilience.Do(c.ep.Clock(), c.rng, renewPolicy, nil, func(int) error {
-				_, err := c.ep.Call(rep, mRenew, renewMsg{Client: c.ep.ID()}, c.renewTO)
+			resilience.DoIn(sc, c.rng, renewPolicy, nil, func(int) error {
+				_, err := c.ep.CallIn(sc, rep, mRenew, renewMsg{Client: c.ep.ID()}, c.renewTO)
 				return err
 			})
 		}

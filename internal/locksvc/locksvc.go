@@ -320,7 +320,7 @@ func (r *Replica) viewCoversReplicaSetLocked() bool {
 func (r *Replica) sweepLoop(t clock.Ticker) {
 	defer r.wg.Done()
 	defer t.Stop()
-	clock.TickLoop(r.ep.Clock(), t, r.stopCh, r.sweepLeases)
+	clock.TickLoop(r.ep.Clock(), t, r.stopCh, func(*clock.Scope) { r.sweepLeases() })
 }
 
 func (r *Replica) sweepLeases() {
@@ -413,7 +413,7 @@ func (r *Replica) onOp(from netsim.NodeID, body any) (any, error) {
 		return nil, err
 	}
 	if isMutation(req.Kind) {
-		acked := r.replicate(backups, replMsg{Req: req, Result: resp})
+		acked := r.replicate(r.ep.DispatchScope(), backups, replMsg{Req: req, Result: resp})
 		if r.cfg.SyncBackups && acked < len(backups) {
 			return nil, ErrUnavailable
 		}
@@ -445,24 +445,24 @@ func (r *Replica) viewOthersLocked() []netsim.NodeID {
 	return out
 }
 
-func (r *Replica) replicate(backups []netsim.NodeID, msg replMsg) int {
+func (r *Replica) replicate(sc *clock.Scope, backups []netsim.NodeID, msg replMsg) int {
 	acked := 0
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, b := range backups {
 		b := b
 		wg.Add(1)
-		clock.Go(r.ep.Clock(), func() {
+		clock.Go(r.ep.Clock(), func(sc *clock.Scope) {
 			defer wg.Done()
 			//neat:allow ambiguity -- modeled lock replication counts only acked backups; replays are idempotent per token
-			if _, err := r.ep.Call(b, mRepl, msg, r.cfg.RPCTimeout); err == nil {
+			if _, err := r.ep.CallIn(sc, b, mRepl, msg, r.cfg.RPCTimeout); err == nil {
 				mu.Lock()
 				acked++
 				mu.Unlock()
 			}
 		})
 	}
-	clock.Idle(r.ep.Clock(), wg.Wait)
+	sc.Idle(wg.Wait)
 	return acked
 }
 

@@ -220,7 +220,7 @@ func (rm *ResourceManager) onSubmit(from netsim.NodeID, body any) (any, error) {
 	// acknowledged submission always runs, and the acknowledgement
 	// never lies about a job that will execute anyway.
 	//neat:allow ambiguity -- safe to drop: the liveness monitor restarts any attempt that never beats
-	_, _ = rm.ep.Call(am, mStartAM, startAMReq{
+	_, _ = rm.ep.CallIn(rm.ep.DispatchScope(), am, mStartAM, startAMReq{
 		JobID: req.JobID, Attempt: 1, Tasks: req.Tasks, Client: req.Client,
 	}, rm.cfg.RPCTimeout)
 	return nil, nil
@@ -295,7 +295,7 @@ func (rm *ResourceManager) monitorLoop(t clock.Ticker) {
 	clock.TickLoop(rm.ep.Clock(), t, rm.stopCh, rm.checkAMs)
 }
 
-func (rm *ResourceManager) checkAMs() {
+func (rm *ResourceManager) checkAMs(sc *clock.Scope) {
 	cutoff := time.Duration(rm.cfg.AMMisses) * rm.cfg.AMHeartbeat
 	type restart struct {
 		job *rmJob
@@ -330,7 +330,7 @@ func (rm *ResourceManager) checkAMs() {
 	rm.mu.Unlock()
 	for _, r := range restarts {
 		//neat:allow ambiguity -- AM restart is fire-and-forget; the monitor re-fires until an attempt beats
-		_, _ = rm.ep.Call(r.am, mStartAM, r.req, rm.cfg.RPCTimeout)
+		_, _ = rm.ep.CallIn(sc, r.am, mStartAM, r.req, rm.cfg.RPCTimeout)
 	}
 }
 
@@ -363,14 +363,14 @@ func NewWorker(n *netsim.Network, id netsim.NodeID, cfg Config) *Worker {
 func (w *Worker) ID() netsim.NodeID { return w.id }
 
 // Stop halts the worker after in-flight AppMasters finish. The join
-// runs under clock.Idle so a virtual clock can keep advancing while
-// AppMasters parked in clock waits (task durations, RPC timeouts)
-// run to completion.
+// parks the caller's root scope so a virtual clock can keep advancing
+// while AppMasters parked in clock waits (task durations, RPC
+// timeouts) run to completion.
 func (w *Worker) Stop() {
 	w.mu.Lock()
 	w.stopped = true
 	w.mu.Unlock()
-	clock.Idle(w.ep.Clock(), w.wg.Wait)
+	clock.Root(w.ep.Clock()).Idle(w.wg.Wait)
 	w.ep.Close()
 }
 
@@ -389,7 +389,7 @@ func (w *Worker) onStartAM(from netsim.NodeID, body any) (any, error) {
 	// clock.Go accounts the AppMaster goroutine as in-flight work from
 	// the instant of the spawn, so a virtual clock cannot advance past
 	// the gap between this handler returning and the AM's first action.
-	clock.Go(w.ep.Clock(), func() { w.runAppMaster(req) })
+	clock.Go(w.ep.Clock(), func(sc *clock.Scope) { w.runAppMaster(sc, req) })
 	return nil, nil
 }
 
@@ -397,7 +397,7 @@ func (w *Worker) onStartAM(from netsim.NodeID, body any) (any, error) {
 // containers, stream results to the client, then report completion to
 // the RM. The heartbeat goroutine keeps the RM convinced we are alive
 // — when it can reach the RM.
-func (w *Worker) runAppMaster(req startAMReq) {
+func (w *Worker) runAppMaster(sc *clock.Scope, req startAMReq) {
 	defer w.wg.Done()
 	clk := w.ep.Clock()
 	stopBeat := make(chan struct{})
@@ -411,7 +411,7 @@ func (w *Worker) runAppMaster(req startAMReq) {
 	go func() {
 		defer beatWG.Done()
 		defer t.Stop()
-		clock.TickLoop(clk, t, stopBeat, func() {
+		clock.TickLoop(clk, t, stopBeat, func(*clock.Scope) {
 			_ = w.ep.Notify(w.cfg.RM, mAMBeat, amBeatMsg{JobID: req.JobID, Attempt: req.Attempt})
 		})
 	}()
@@ -420,14 +420,14 @@ func (w *Worker) runAppMaster(req startAMReq) {
 	for task := 0; task < req.Tasks; task++ {
 		target := w.cfg.Workers[task%len(w.cfg.Workers)]
 		//neat:allow ambiguity -- failure falls back to the co-hosted runtime; a doubly executed task is the reproduced flaw
-		out, err := w.ep.Call(target, mContainer, containerReq{
+		out, err := w.ep.CallIn(sc, target, mContainer, containerReq{
 			JobID: req.JobID, Attempt: req.Attempt, Task: task,
 		}, w.cfg.TaskDuration+w.cfg.RPCTimeout)
 		if err != nil {
 			// Container host unreachable: retry on ourselves. The AM
 			// always co-hosts a container runtime.
 			//neat:allow ambiguity -- retry on self after an unreachable host: the maybe-executed first try is MAPREDUCE-4819's double run
-			out, err = w.ep.Call(w.id, mContainer, containerReq{
+			out, err = w.ep.CallIn(sc, w.id, mContainer, containerReq{
 				JobID: req.JobID, Attempt: req.Attempt, Task: task,
 			}, w.cfg.TaskDuration+w.cfg.RPCTimeout)
 			if err != nil {
@@ -448,7 +448,7 @@ func (w *Worker) runAppMaster(req startAMReq) {
 		// duplicate attempt is refused and must stay silent. Only an
 		// accepted completion is reported to the user.
 		//neat:allow ambiguity -- fenced completion treats an ambiguous commit as refused, so the worker stays silent (conservative)
-		if _, err := w.ep.Call(w.cfg.RM, mComplete, completeMsg{JobID: req.JobID, Attempt: req.Attempt}, w.cfg.RPCTimeout); err == nil {
+		if _, err := w.ep.CallIn(sc, w.cfg.RM, mComplete, completeMsg{JobID: req.JobID, Attempt: req.Attempt}, w.cfg.RPCTimeout); err == nil {
 			_ = w.ep.Notify(req.Client, mResult, Result{JobID: req.JobID, Attempt: req.Attempt, Final: true})
 		}
 	} else {
@@ -458,10 +458,10 @@ func (w *Worker) runAppMaster(req startAMReq) {
 		// will rerun it anyway.
 		_ = w.ep.Notify(req.Client, mResult, Result{JobID: req.JobID, Attempt: req.Attempt, Final: true})
 		//neat:allow ambiguity -- the flaw under study: completion reaches the user before (and regardless of) the RM ack
-		_, _ = w.ep.Call(w.cfg.RM, mComplete, completeMsg{JobID: req.JobID, Attempt: req.Attempt}, w.cfg.RPCTimeout)
+		_, _ = w.ep.CallIn(sc, w.cfg.RM, mComplete, completeMsg{JobID: req.JobID, Attempt: req.Attempt}, w.cfg.RPCTimeout)
 	}
 	close(stopBeat)
-	clock.Idle(clk, beatWG.Wait)
+	sc.Idle(beatWG.Wait)
 }
 
 func (w *Worker) onRunContainer(from netsim.NodeID, body any) (any, error) {
@@ -472,7 +472,7 @@ func (w *Worker) onRunContainer(from netsim.NodeID, body any) (any, error) {
 	// The container's work time comes from the clock, so a virtual
 	// round pays CPU microseconds, not wall-clock milliseconds, per
 	// task.
-	w.ep.Clock().Sleep(w.cfg.TaskDuration)
+	w.ep.DispatchScope().Sleep(w.cfg.TaskDuration)
 	return fmt.Sprintf("%s/t%d", req.JobID, req.Task), nil
 }
 

@@ -208,7 +208,7 @@ func (b *Broker) Start() error {
 	b.mu.Lock()
 	b.session = sess
 	b.mu.Unlock()
-	b.pollRole()
+	b.pollRole(clock.Root(b.ep.Clock()))
 	b.wg.Add(1)
 	t := b.ep.Clock().NewTicker(b.cfg.RolePoll)
 	go b.roleLoop(t)
@@ -242,8 +242,8 @@ func (b *Broker) roleLoop(t clock.Ticker) {
 // pollRole refreshes the broker's view of who is master. When the
 // coordination service is unreachable the flawed behaviour keeps the
 // last known role — an isolated master keeps serving.
-func (b *Broker) pollRole() {
-	leader, err := coord.Leader(b.ep, b.cfg.ZK, Group, b.cfg.RPCTimeout)
+func (b *Broker) pollRole(sc *clock.Scope) {
+	leader, err := coord.Leader(sc, b.ep, b.cfg.ZK, Group, b.cfg.RPCTimeout)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if coord.IsNoLeader(err) {
@@ -346,7 +346,7 @@ func (b *Broker) onOp(from netsim.NodeID, body any) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	acked := b.replicate(replMsg{Req: req, Entry: ent})
+	acked := b.replicate(b.ep.DispatchScope(), replMsg{Req: req, Entry: ent})
 	if b.cfg.RequireReplicaAcks && acked < len(b.cfg.Brokers)-1 {
 		return nil, ErrUnavailable
 	}
@@ -376,24 +376,24 @@ func (b *Broker) applyMasterLocked(req opReq) (opResp, entry, error) {
 	}
 }
 
-func (b *Broker) replicate(msg replMsg) int {
+func (b *Broker) replicate(sc *clock.Scope, msg replMsg) int {
 	acked := 0
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, s := range b.slaves() {
 		s := s
 		wg.Add(1)
-		clock.Go(b.ep.Clock(), func() {
+		clock.Go(b.ep.Clock(), func(sc *clock.Scope) {
 			defer wg.Done()
 			//neat:allow ambiguity -- modeled broker counts only acked slaves; the ambiguous ack gap is the studied at-most-once break
-			if _, err := b.ep.Call(s, mRepl, msg, b.cfg.RPCTimeout); err == nil {
+			if _, err := b.ep.CallIn(sc, s, mRepl, msg, b.cfg.RPCTimeout); err == nil {
 				mu.Lock()
 				acked++
 				mu.Unlock()
 			}
 		})
 	}
-	clock.Idle(b.ep.Clock(), wg.Wait)
+	sc.Idle(wg.Wait)
 	return acked
 }
 

@@ -119,7 +119,7 @@ func (o *OSD) onWrite(from netsim.NodeID, body any) (any, error) {
 	o.mu.Lock()
 	o.objects[req.Obj] = req.Data
 	o.mu.Unlock()
-	if o.replicate(replMsg{Obj: req.Obj, Data: req.Data}) < len(o.secondaries()) {
+	if o.replicate(o.ep.DispatchScope(), replMsg{Obj: req.Obj, Data: req.Data}) < len(o.secondaries()) {
 		return nil, ErrTimeout
 	}
 	return nil, nil
@@ -136,30 +136,30 @@ func (o *OSD) onDelete(from netsim.NodeID, body any) (any, error) {
 	o.mu.Lock()
 	delete(o.objects, req.Obj)
 	o.mu.Unlock()
-	if o.replicate(replMsg{Obj: req.Obj, Delete: true}) < len(o.secondaries()) {
+	if o.replicate(o.ep.DispatchScope(), replMsg{Obj: req.Obj, Delete: true}) < len(o.secondaries()) {
 		return nil, ErrTimeout
 	}
 	return nil, nil
 }
 
-func (o *OSD) replicate(msg replMsg) int {
+func (o *OSD) replicate(sc *clock.Scope, msg replMsg) int {
 	acked := 0
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, s := range o.secondaries() {
 		s := s
 		wg.Add(1)
-		clock.Go(o.ep.Clock(), func() {
+		clock.Go(o.ep.Clock(), func(sc *clock.Scope) {
 			defer wg.Done()
 			//neat:allow ambiguity -- modeled replication counts only acked secondaries; ambiguity surfaces as the studied divergence
-			if _, err := o.ep.Call(s, mRepl, msg, o.cfg.RPCTimeout); err == nil {
+			if _, err := o.ep.CallIn(sc, s, mRepl, msg, o.cfg.RPCTimeout); err == nil {
 				mu.Lock()
 				acked++
 				mu.Unlock()
 			}
 		})
 	}
-	clock.Idle(o.ep.Clock(), wg.Wait)
+	sc.Idle(wg.Wait)
 	return acked
 }
 

@@ -350,7 +350,7 @@ func (nd *Node) resetElectionDeadlineLocked() {
 func (nd *Node) tickLoop(t clock.Ticker) {
 	defer nd.wg.Done()
 	defer t.Stop()
-	clock.TickLoop(nd.clk, t, nd.stopCh, func() {
+	clock.TickLoop(nd.clk, t, nd.stopCh, func(sc *clock.Scope) {
 		nd.mu.Lock()
 		role := nd.role
 		removed := nd.removed
@@ -360,16 +360,16 @@ func (nd *Node) tickLoop(t clock.Ticker) {
 			return
 		}
 		if role == LeaderRole {
-			nd.broadcastAppend()
+			nd.broadcastAppend(sc)
 		} else if expired {
-			nd.startElection()
+			nd.startElection(sc)
 		}
 	})
 }
 
 // --- election ---
 
-func (nd *Node) startElection() {
+func (nd *Node) startElection(sc *clock.Scope) {
 	nd.mu.Lock()
 	if nd.role == LeaderRole || nd.stopped || nd.removed {
 		nd.mu.Unlock()
@@ -395,10 +395,10 @@ func (nd *Node) startElection() {
 	for _, p := range peers {
 		p := p
 		wg.Add(1)
-		clock.Go(nd.clk, func() {
+		clock.Go(nd.clk, func(sc *clock.Scope) {
 			defer wg.Done()
 			//neat:allow ambiguity -- votes are term-guarded and idempotent; a lost grant is a missing ack
-			resp, err := nd.ep.Call(p, mVote, req, nd.cfg.RPCTimeout)
+			resp, err := nd.ep.CallIn(sc, p, mVote, req, nd.cfg.RPCTimeout)
 			if err != nil {
 				return
 			}
@@ -418,7 +418,7 @@ func (nd *Node) startElection() {
 			}
 		})
 	}
-	clock.Idle(nd.clk, wg.Wait)
+	sc.Idle(wg.Wait)
 
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
@@ -456,9 +456,9 @@ func (nd *Node) becomeLeaderLocked() {
 	})
 	if !nd.stopped {
 		nd.wg.Add(1)
-		clock.Go(nd.clk, func() {
+		clock.Go(nd.clk, func(sc *clock.Scope) {
 			defer nd.wg.Done()
-			nd.broadcastAppend()
+			nd.broadcastAppend(sc)
 		})
 	}
 }
@@ -492,7 +492,7 @@ func (nd *Node) onRequestVote(from netsim.NodeID, body any) (any, error) {
 
 // --- replication ---
 
-func (nd *Node) broadcastAppend() {
+func (nd *Node) broadcastAppend(sc *clock.Scope) {
 	nd.mu.Lock()
 	if nd.role != LeaderRole {
 		nd.mu.Unlock()
@@ -504,16 +504,16 @@ func (nd *Node) broadcastAppend() {
 	for _, p := range peers {
 		p := p
 		wg.Add(1)
-		clock.Go(nd.clk, func() {
+		clock.Go(nd.clk, func(sc *clock.Scope) {
 			defer wg.Done()
-			nd.replicateTo(p)
+			nd.replicateTo(sc, p)
 		})
 	}
-	clock.Idle(nd.clk, wg.Wait)
+	sc.Idle(wg.Wait)
 	nd.advanceCommit()
 }
 
-func (nd *Node) replicateTo(peer netsim.NodeID) {
+func (nd *Node) replicateTo(sc *clock.Scope, peer netsim.NodeID) {
 	nd.mu.Lock()
 	if nd.role != LeaderRole {
 		nd.mu.Unlock()
@@ -540,7 +540,7 @@ func (nd *Node) replicateTo(peer netsim.NodeID) {
 	nd.mu.Unlock()
 
 	//neat:allow ambiguity -- a timed-out AppendEntries is retried by the next heartbeat; appends are idempotent by (term, index)
-	resp, err := nd.ep.Call(peer, mAppend, req, nd.cfg.RPCTimeout)
+	resp, err := nd.ep.CallIn(sc, peer, mAppend, req, nd.cfg.RPCTimeout)
 	if err != nil {
 		return
 	}
@@ -686,9 +686,10 @@ func (nd *Node) onPut(from netsim.NodeID, body any) (any, error) {
 	nd.mu.Unlock()
 
 	// Drive replication until the entry commits or the wait expires.
+	sc := nd.ep.DispatchScope()
 	deadline := nd.clk.Now().Add(nd.cfg.CommitWait)
 	for {
-		nd.broadcastAppend()
+		nd.broadcastAppend(sc)
 		nd.mu.Lock()
 		committed := nd.commitIndex >= entry.Index && nd.role == LeaderRole
 		stillLeader := nd.role == LeaderRole
@@ -707,7 +708,7 @@ func (nd *Node) onPut(from netsim.NodeID, body any) (any, error) {
 		if nd.clk.Now().After(deadline) {
 			return nil, ErrNoQuorum
 		}
-		nd.clk.Sleep(nd.cfg.HeartbeatInterval / 2)
+		sc.Sleep(nd.cfg.HeartbeatInterval / 2)
 	}
 }
 
@@ -773,13 +774,14 @@ func (nd *Node) onAdminConfig(from netsim.NodeID, body any) (any, error) {
 		// Best-effort notifications: nodes behind the partition never
 		// hear about the change — the crux of the failure.
 		relay := removeMsg{NewConfig: msg.NewConfig, Relay: true}
+		sc := nd.ep.DispatchScope()
 		for _, p := range removed {
 			//neat:allow ambiguity -- best-effort config relay: nodes behind the partition missing it is the crux of the failure
-			_, _ = nd.ep.Call(p, mRemove, relay, nd.cfg.RPCTimeout)
+			_, _ = nd.ep.CallIn(sc, p, mRemove, relay, nd.cfg.RPCTimeout)
 		}
 		for _, p := range members {
 			//neat:allow ambiguity -- best-effort config relay: nodes behind the partition missing it is the crux of the failure
-			_, _ = nd.ep.Call(p, mConfig, relay, nd.cfg.RPCTimeout)
+			_, _ = nd.ep.CallIn(sc, p, mConfig, relay, nd.cfg.RPCTimeout)
 		}
 	}
 	sort.Slice(removed, func(i, j int) bool { return removed[i] < removed[j] })

@@ -138,8 +138,19 @@ type Result struct {
 // stops on success, a Fatal (or non-retried Ambiguous) class, attempt
 // exhaustion, or a backoff that would overrun the budget. fn receives
 // the zero-based attempt number, so callers can stamp idempotency
-// keys or record per-attempt operations.
+// keys or record per-attempt operations. Backoffs are waits of clk's
+// root scope; accounted goroutines use DoIn.
 func Do(clk clock.Clock, rng *rand.Rand, pol Policy, classify Classifier, fn func(attempt int) error) Result {
+	return do(clk, clk.Sleep, rng, pol, classify, fn)
+}
+
+// DoIn is Do run by the goroutine that sc stands for: backoffs are
+// waits of sc on its clock.
+func DoIn(sc *clock.Scope, rng *rand.Rand, pol Policy, classify Classifier, fn func(attempt int) error) Result {
+	return do(sc.Clock(), sc.Sleep, rng, pol, classify, fn)
+}
+
+func do(clk clock.Clock, sleep func(time.Duration), rng *rand.Rand, pol Policy, classify Classifier, fn func(attempt int) error) Result {
 	pol = pol.withDefaults()
 	bo := NewBackoff(pol, rng)
 	start := clk.Now()
@@ -164,7 +175,7 @@ func Do(clk clock.Clock, rng *rand.Rand, pol Policy, classify Classifier, fn fun
 		if pol.Budget > 0 && clk.Now().Sub(start)+d >= pol.Budget {
 			return res
 		}
-		clk.Sleep(d)
+		sleep(d)
 	}
 }
 

@@ -95,9 +95,10 @@ type Endpoint struct {
 	dedup   map[netsim.NodeID]*seqWindow
 	inbox   chan netsim.Packet
 	done    chan struct{}
-	// dispGid identifies the dispatcher goroutine: queued requests bind
-	// their busy tokens to its scope (see receive).
-	dispGid uint64
+	// disp is the dispatcher goroutine's scope: queued requests bind
+	// their busy tokens to it (see receive), and handlers wait through
+	// it (see DispatchScope).
+	disp *clock.Scope
 
 	// DefaultTimeout is used by Call when the caller passes 0.
 	DefaultTimeout time.Duration
@@ -121,12 +122,8 @@ func NewEndpoint(n *netsim.Network, id netsim.NodeID) *Endpoint {
 		done:           make(chan struct{}),
 		DefaultTimeout: 250 * time.Millisecond,
 	}
-	// The dispatcher publishes its goroutine identity before the
-	// endpoint goes on the fabric, so every received request can bind
-	// its token to the dispatcher's scope.
-	gidCh := make(chan uint64)
-	go e.dispatch(gidCh)
-	e.dispGid = <-gidCh
+	e.disp = clock.NewScope(e.clk, "dispatch "+string(id))
+	go e.dispatch(e.disp)
 	n.Register(id, e.receive)
 	return e
 }
@@ -141,6 +138,12 @@ func (e *Endpoint) Network() *netsim.Network { return e.net }
 // take every ticker, sleep, and deadline from here, which is what lets
 // a campaign run a whole deployment on virtual time.
 func (e *Endpoint) Clock() clock.Clock { return e.clk }
+
+// DispatchScope returns the dispatcher goroutine's scope. Handlers run
+// on the dispatcher, holding their request's token in this scope, so
+// every wait a handler makes goes through it: CallIn, and its Sleep and
+// Idle.
+func (e *Endpoint) DispatchScope() *clock.Scope { return e.disp }
 
 // Handle registers the handler for a method name. Registering twice
 // replaces the handler; registering a nil handler removes it.
@@ -175,7 +178,7 @@ func (e *Endpoint) Close() {
 		drained := false
 		select {
 		case <-e.inbox:
-			clock.ReleaseScopedAs(e.clk, e.dispGid)
+			e.disp.Release()
 			drained = true
 		default:
 		}
@@ -266,28 +269,26 @@ func (e *Endpoint) receive(pkt netsim.Packet) {
 		e.mu.RUnlock()
 		return
 	}
-	//neat:allow tokenbalance -- gid-scoped handoff: the enqueue binds the token to the dispatcher, which releases it after serving; Close drains leftovers
-	clock.AcquireScopedAs(e.clk, e.dispGid)
+	e.disp.Acquire()
 	select {
 	case e.inbox <- pkt:
 	default:
 		// Inbox full: drop, as an overloaded server would.
-		clock.ReleaseScopedAs(e.clk, e.dispGid)
+		e.disp.Release()
 	}
 	e.mu.RUnlock()
 }
 
-func (e *Endpoint) dispatch(gidCh chan<- uint64) {
-	gidCh <- clock.Gid()
+func (e *Endpoint) dispatch(sc *clock.Scope) {
 	for {
 		select {
 		case <-e.done:
 			return
 		case pkt := <-e.inbox:
-			// Serve under the token the sender bound to this goroutine;
+			// Serve under the token the sender bound to this scope;
 			// retire it when the handler completes.
 			e.serve(pkt)
-			clock.ReleaseScoped(e.clk)
+			sc.Release()
 		}
 	}
 }
@@ -329,9 +330,18 @@ func (e *Endpoint) Notify(dst netsim.NodeID, kind string, body any) error {
 	return e.send(dst, envelope{Kind: kind, Body: body})
 }
 
-// Call sends a request and waits for the response or a timeout. A zero
-// timeout uses DefaultTimeout.
+// Call sends a request and waits for the response or a timeout, as a
+// wait of the clock's root scope: the form for round and test drivers.
+// Handlers and accounted goroutines use CallIn. A zero timeout uses
+// DefaultTimeout.
 func (e *Endpoint) Call(dst netsim.NodeID, kind string, body any, timeout time.Duration) (any, error) {
+	return e.CallIn(clock.Root(e.clk), dst, kind, body, timeout)
+}
+
+// CallIn is Call made by the goroutine that sc stands for: sc is parked
+// while the call waits, so the virtual clock can advance to the call's
+// own timeout.
+func (e *Endpoint) CallIn(sc *clock.Scope, dst netsim.NodeID, kind string, body any, timeout time.Duration) (any, error) {
 	if timeout == 0 {
 		timeout = e.DefaultTimeout
 	}
@@ -371,16 +381,16 @@ func (e *Endpoint) Call(dst netsim.NodeID, kind string, body any, timeout time.D
 	// cannot run further ahead while the scheduler resumes us.
 	timer := clock.NewWakeTimer(e.clk, timeout)
 	defer timer.Stop()
-	// The select runs under clock.Idle: a caller holding scoped busy
-	// tokens (a handler issuing a nested call) surrenders them while
-	// blocked here, so the virtual clock can advance to this call's own
-	// timeout.
+	// The select runs with the caller's scope parked: a caller holding
+	// scoped busy tokens (a handler issuing a nested call) surrenders
+	// them while blocked here, so the virtual clock can advance to this
+	// call's own timeout.
 	var (
 		resp      envelope
 		delivered bool
 		timedOut  bool
 	)
-	clock.Idle(e.clk, func() {
+	sc.Idle(func() {
 		select {
 		case r, ok := <-p.ch:
 			resp, delivered = r, ok
